@@ -101,32 +101,26 @@ impl FanoutMap {
     }
 }
 
-/// Reusable scratch for [`Aig::mffc_with`]: epoch-stamped per-node
-/// reference-count deltas, so repeated MFFC computations cost
-/// `O(|MFFC|)` per query instead of cloning all `n` reference counts.
-///
-/// Every query reads the base counts straight from the [`FanoutMap`] it is
-/// given and bumps the epoch, so a scratch can be reused across graph
-/// snapshots without any reset call.
+/// Per-node values that belong to one query. An epoch stamp marks the
+/// entries the current query wrote, so starting a query costs `O(1)`
+/// instead of clearing `n` entries; only when the `u32` epoch wraps are
+/// the stamps cleared. Shared by [`MffcScratch`] and [`ConeScratch`].
 #[derive(Clone, Debug, Default)]
-pub struct MffcScratch {
-    /// Decrements applied during the current query; valid only where
+struct Stamped<T> {
+    /// Values written in the current query; valid only where
     /// `stamp[i] == epoch`.
-    deltas: Vec<u32>,
+    values: Vec<T>,
     stamp: Vec<u32>,
     epoch: u32,
 }
 
-impl MffcScratch {
-    /// An empty scratch; sized lazily on first use.
-    pub fn new() -> MffcScratch {
-        MffcScratch::default()
-    }
-
+impl<T: Copy + Default> Stamped<T> {
+    /// Starts a query on a graph of `num_nodes` nodes: every entry reads
+    /// as unset afterwards.
     fn begin(&mut self, num_nodes: usize) {
         if self.stamp.len() < num_nodes {
-            self.deltas.clear();
-            self.deltas.resize(num_nodes, 0);
+            self.values.clear();
+            self.values.resize(num_nodes, T::default());
             self.stamp.clear();
             self.stamp.resize(num_nodes, 0);
             self.epoch = 0;
@@ -138,18 +132,92 @@ impl MffcScratch {
         self.epoch += 1;
     }
 
+    #[inline]
+    fn get(&self, id: NodeId) -> Option<T> {
+        let i = id.index();
+        (self.stamp[i] == self.epoch).then(|| self.values[i])
+    }
+
+    #[inline]
+    fn set(&mut self, id: NodeId, value: T) {
+        let i = id.index();
+        self.stamp[i] = self.epoch;
+        self.values[i] = value;
+    }
+}
+
+/// Reusable scratch for [`Aig::mffc_with`]: epoch-stamped per-node
+/// reference-count deltas, so repeated MFFC computations cost
+/// `O(|MFFC|)` per query instead of cloning all `n` reference counts.
+///
+/// Every query reads the base counts straight from the [`FanoutMap`] it is
+/// given and bumps the epoch, so a scratch can be reused across graph
+/// snapshots without any reset call.
+#[derive(Clone, Debug, Default)]
+pub struct MffcScratch {
+    /// Decrements applied during the current query.
+    deltas: Stamped<u32>,
+}
+
+impl MffcScratch {
+    /// An empty scratch; sized lazily on first use.
+    pub fn new() -> MffcScratch {
+        MffcScratch::default()
+    }
+
     /// Decrements the effective count of `id` and returns the new value,
     /// given its base reference count.
     #[inline]
     fn decrement(&mut self, id: NodeId, base: u32) -> u32 {
-        let i = id.index();
-        if self.stamp[i] != self.epoch {
-            self.stamp[i] = self.epoch;
-            self.deltas[i] = 0;
-        }
-        self.deltas[i] += 1;
-        debug_assert!(self.deltas[i] <= base, "fanin reference count underflow");
-        base - self.deltas[i]
+        let delta = self.deltas.get(id).unwrap_or(0) + 1;
+        debug_assert!(delta <= base, "fanin reference count underflow");
+        self.deltas.set(id, delta);
+        base - delta
+    }
+}
+
+/// Reusable scratch for cone walks over a cut: [`Aig::cone_interior`],
+/// [`Aig::cone_mffc`] and [`Aig::cone_leaves`] (and through them
+/// `alsrac_truthtable::cone_tt`).
+///
+/// Like [`MffcScratch`], every per-node entry is epoch-stamped, so one
+/// walk costs `O(|cone|)` rather than `O(num_nodes)`: per-node loops
+/// (rewriting visits every cut of every AND node) hold one scratch and
+/// reuse it across queries and graph snapshots without any reset call.
+/// After an [`Aig::cone_interior`] walk that returned `Some`, the scratch
+/// holds that cone ([`ConeScratch::interior`], [`ConeScratch::slot`])
+/// until the next walk.
+#[derive(Clone, Debug, Default)]
+pub struct ConeScratch {
+    /// Slot of each node of the current walk: `i` for leaf `i`, then
+    /// `leaves.len() + j` for the `j`-th interior node.
+    slots: Stamped<u32>,
+    /// Node set of the current [`Aig::cone_mffc`] / [`Aig::cone_leaves`]
+    /// query.
+    marks: Stamped<()>,
+    interior: Vec<NodeId>,
+    freed: Vec<NodeId>,
+    stack: Vec<NodeId>,
+}
+
+impl ConeScratch {
+    /// An empty scratch; sized lazily on first use.
+    pub fn new() -> ConeScratch {
+        ConeScratch::default()
+    }
+
+    /// The interior AND nodes of the last [`Aig::cone_interior`] walk, in
+    /// topological order (meaningful only if that walk returned `Some`).
+    pub fn interior(&self) -> &[NodeId] {
+        &self.interior
+    }
+
+    /// The slot of `id` in the last [`Aig::cone_interior`] walk, if it
+    /// returned `Some`: `Some(i)` for leaf `i`, `Some(leaves.len() + j)` for
+    /// `interior()[j]`, and `None` for nodes outside the cone (including
+    /// the implicit constant).
+    pub fn slot(&self, id: NodeId) -> Option<usize> {
+        self.slots.get(id).map(|s| s as usize)
     }
 }
 
@@ -244,7 +312,7 @@ impl Aig {
         // from inside the dereferenced cone drop to zero. The scratch
         // tracks the decrements of this query only; base counts come from
         // the fanout map every time, so nothing can go stale.
-        scratch.begin(self.num_nodes());
+        scratch.deltas.begin(self.num_nodes());
         let mut mffc = Vec::new();
         let mut stack = vec![root];
         while let Some(id) = stack.pop() {
@@ -261,37 +329,118 @@ impl Aig {
         mffc
     }
 
-    /// Collects the leaves (non-complemented node references) of the cone of
-    /// `root` bounded by the cut `leaves`: all paths from `root` towards the
-    /// inputs stop at nodes in `leaves`. Returns the interior AND nodes in
-    /// topological order.
+    /// Walks the cone of `root` bounded by the cut `leaves`: all paths from
+    /// `root` towards the inputs stop at nodes in `leaves`. Returns the
+    /// interior AND nodes in topological order (empty when `root` is itself
+    /// a leaf); `scratch` keeps them, and every node's slot, until its next
+    /// walk.
     ///
-    /// Returns `None` if the cone escapes past an input or the constant that
-    /// is not listed as a leaf (i.e. `leaves` is not a valid cut of `root`).
-    pub fn cone_interior(&self, root: NodeId, leaves: &[NodeId]) -> Option<Vec<NodeId>> {
-        let mut is_leaf = vec![false; self.num_nodes()];
-        for &l in leaves {
-            is_leaf[l.index()] = true;
+    /// The constant node is an implicit leaf. Returns `None` if the cone
+    /// escapes past an input that is not listed as a leaf (i.e. `leaves` is
+    /// not a valid cut of `root`).
+    pub fn cone_interior<'s>(
+        &self,
+        root: NodeId,
+        leaves: &[NodeId],
+        scratch: &'s mut ConeScratch,
+    ) -> Option<&'s [NodeId]> {
+        let ConeScratch {
+            slots,
+            interior,
+            stack,
+            ..
+        } = scratch;
+        slots.begin(self.num_nodes());
+        for (i, &leaf) in leaves.iter().enumerate() {
+            slots.set(leaf, i as u32);
         }
-        let mut seen = vec![false; self.num_nodes()];
-        let mut interior = Vec::new();
-        let mut stack = vec![root];
+        interior.clear();
+        stack.clear();
+        stack.push(root);
         while let Some(id) = stack.pop() {
-            if is_leaf[id.index()] || std::mem::replace(&mut seen[id.index()], true) {
-                continue;
+            if slots.get(id).is_some() {
+                continue; // a leaf, or an interior node already seen
             }
             match *self.node(id) {
                 Node::And { f0, f1 } => {
+                    slots.set(id, u32::MAX); // seen; numbered after the sort
                     interior.push(id);
                     stack.push(f0.node());
                     stack.push(f1.node());
                 }
-                // Hit an input or the constant that is not a leaf: not a cut.
-                _ => return None,
+                Node::Const => {}
+                // Hit an input that is not a leaf: not a cut.
+                Node::Input { .. } => return None,
             }
         }
         interior.sort_unstable();
+        for (j, &id) in interior.iter().enumerate() {
+            slots.set(id, (leaves.len() + j) as u32);
+        }
         Some(interior)
+    }
+
+    /// The cut-local MFFC of the last [`Aig::cone_interior`] walk from
+    /// `root`, which must have returned `Some`: the interior nodes that become dangling when
+    /// `root` is replaced, because every reference to them comes from a
+    /// freed node (and none from an output). Includes `root`; returned in
+    /// topological order.
+    pub fn cone_mffc<'s>(
+        &self,
+        root: NodeId,
+        fanouts: &FanoutMap,
+        scratch: &'s mut ConeScratch,
+    ) -> &'s [NodeId] {
+        let ConeScratch {
+            marks,
+            interior,
+            freed,
+            ..
+        } = scratch;
+        marks.begin(self.num_nodes());
+        marks.set(root, ());
+        // Fanouts have larger ids than their fanins, so one pass in reverse
+        // topological order decides every consumer before its fanins.
+        for &n in interior.iter().rev().filter(|&&n| n != root) {
+            let consumers = fanouts.fanouts(n);
+            let fanin_refs: u32 = consumers
+                .iter()
+                .map(|&f| {
+                    let [f0, f1] = self.and_fanins(f);
+                    (f0.node() == n) as u32 + (f1.node() == n) as u32
+                })
+                .sum();
+            if fanin_refs == fanouts.ref_count(n)
+                && consumers.iter().all(|&f| marks.get(f).is_some())
+            {
+                marks.set(n, ());
+            }
+        }
+        freed.clear();
+        freed.extend(interior.iter().filter(|&&n| marks.get(n).is_some()));
+        freed
+    }
+
+    /// The leaves of the cone formed by the AND nodes `members` (such as an
+    /// MFFC): their fanins that are not members themselves, excluding the
+    /// constant, in ascending order without duplicates.
+    pub fn cone_leaves(&self, members: &[NodeId], scratch: &mut ConeScratch) -> Vec<NodeId> {
+        let marks = &mut scratch.marks;
+        marks.begin(self.num_nodes());
+        for &n in members {
+            marks.set(n, ());
+        }
+        let mut leaves = Vec::new();
+        for &n in members {
+            for fanin in self.and_fanins(n).map(Lit::node) {
+                if fanin != NodeId::CONST && marks.get(fanin).is_none() {
+                    marks.set(fanin, ());
+                    leaves.push(fanin);
+                }
+            }
+        }
+        leaves.sort_unstable();
+        leaves
     }
 
     /// Returns the literal-level fanins of an AND node as an array, panicking
@@ -394,10 +543,14 @@ mod tests {
     fn cone_interior_accepts_valid_cut() {
         let (aig, a, b, c, ab, bc, _d) = sample();
         let y = aig.outputs()[0].lit.node();
+        let mut scratch = ConeScratch::new();
         let interior = aig
-            .cone_interior(y, &[a.node(), b.node(), c.node()])
+            .cone_interior(y, &[a.node(), b.node(), c.node()], &mut scratch)
             .expect("valid cut");
-        assert_eq!(interior, vec![ab.node(), bc.node(), y]);
+        assert_eq!(interior, [ab.node(), bc.node(), y]);
+        assert_eq!(scratch.slot(b.node()), Some(1));
+        assert_eq!(scratch.slot(bc.node()), Some(4));
+        assert_eq!(scratch.slot(NodeId::CONST), None);
     }
 
     #[test]
@@ -405,7 +558,9 @@ mod tests {
         let (aig, a, _b, _c, _ab, _bc, _d) = sample();
         let y = aig.outputs()[0].lit.node();
         // Leaving out b and c means the walk escapes to inputs not in the cut.
-        assert!(aig.cone_interior(y, &[a.node()]).is_none());
+        assert!(aig
+            .cone_interior(y, &[a.node()], &mut ConeScratch::new())
+            .is_none());
     }
 
     #[test]
@@ -464,7 +619,149 @@ mod tests {
     #[test]
     fn cone_interior_root_as_leaf_is_empty() {
         let (aig, _a, _b, _c, ab, ..) = sample();
-        let interior = aig.cone_interior(ab.node(), &[ab.node()]).expect("cut");
+        let mut scratch = ConeScratch::new();
+        let interior = aig
+            .cone_interior(ab.node(), &[ab.node()], &mut scratch)
+            .expect("cut");
         assert!(interior.is_empty());
+    }
+
+    #[test]
+    fn cone_interior_treats_the_constant_as_a_leaf() {
+        let (aig, a, ..) = sample();
+        let mut scratch = ConeScratch::new();
+        let interior = aig
+            .cone_interior(NodeId::CONST, &[a.node()], &mut scratch)
+            .expect("the constant is an implicit leaf");
+        assert!(interior.is_empty());
+    }
+
+    /// The cut-local MFFC, recomputed with fresh bitmaps and iterated to a
+    /// fixed point: the reference [`Aig::cone_mffc`] must match.
+    fn reference_cone_mffc(aig: &Aig, root: NodeId, interior: &[NodeId]) -> Vec<NodeId> {
+        let fanouts = aig.fanout_map();
+        let mut freed = vec![false; aig.num_nodes()];
+        freed[root.index()] = true;
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for &n in interior {
+                let refs: u32 = fanouts
+                    .fanouts(n)
+                    .iter()
+                    .map(|&f| {
+                        let [f0, f1] = aig.and_fanins(f);
+                        (f0.node() == n) as u32 + (f1.node() == n) as u32
+                    })
+                    .sum();
+                if !freed[n.index()]
+                    && refs == fanouts.ref_count(n)
+                    && fanouts.fanouts(n).iter().all(|f| freed[f.index()])
+                {
+                    freed[n.index()] = true;
+                    changed = true;
+                }
+            }
+        }
+        interior
+            .iter()
+            .copied()
+            .filter(|n| freed[n.index()])
+            .collect()
+    }
+
+    /// y = (a & b) | (b & c) with `ab` also driving a second output.
+    fn shared_sample() -> (Aig, [NodeId; 3], [NodeId; 3]) {
+        let mut aig = Aig::new("t");
+        let a = aig.add_input("a");
+        let b = aig.add_input("b");
+        let c = aig.add_input("c");
+        let ab = aig.and(a, b);
+        let bc = aig.and(b, c);
+        let y = aig.or(ab, bc);
+        aig.add_output("y", y);
+        aig.add_output("ab", ab);
+        (
+            aig,
+            [a.node(), b.node(), c.node()],
+            [ab.node(), bc.node(), y.node()],
+        )
+    }
+
+    #[test]
+    fn cone_mffc_excludes_nodes_referenced_outside_the_cone() {
+        let (aig, inputs, [ab, bc, y]) = shared_sample();
+        let fanouts = aig.fanout_map();
+        let mut scratch = ConeScratch::new();
+        let interior = aig
+            .cone_interior(y, &inputs, &mut scratch)
+            .expect("cut")
+            .to_vec();
+        let mffc = aig.cone_mffc(y, &fanouts, &mut scratch).to_vec();
+        assert_eq!(mffc, [bc, y]);
+        assert_eq!(mffc, reference_cone_mffc(&aig, y, &interior));
+        assert!(!mffc.contains(&ab));
+    }
+
+    #[test]
+    fn cone_leaves_bound_the_members() {
+        let (aig, [_a, b, c], [ab, bc, y]) = shared_sample();
+        let mut scratch = ConeScratch::new();
+        // The MFFC of y is {bc, y}: its leaves are ab (shared), b and c.
+        let leaves = aig.cone_leaves(&[y, bc], &mut scratch);
+        assert_eq!(leaves, [b, c, ab]);
+    }
+
+    #[test]
+    fn scratches_survive_epoch_wrap() {
+        let aig = {
+            let mut aig = Aig::new("wrap");
+            let xs = aig.add_inputs("x", 6);
+            let l = aig.and(xs[0], xs[1]);
+            let r = aig.xor(xs[2], xs[3]);
+            let m = aig.or(l, r);
+            let t = aig.and(m, xs[4]);
+            let u = aig.and(l, xs[5]);
+            aig.add_output("t", t);
+            aig.add_output("u", u);
+            aig
+        };
+        let fanouts = aig.fanout_map();
+        let leaves: Vec<NodeId> = aig.inputs().to_vec();
+        let mut fresh = ConeScratch::new();
+        let want: Vec<_> = aig
+            .iter_ands()
+            .map(|id| {
+                let interior = aig
+                    .cone_interior(id, &leaves, &mut fresh)
+                    .expect("cut")
+                    .to_vec();
+                let mffc = aig.cone_mffc(id, &fanouts, &mut fresh).to_vec();
+                (interior, mffc, aig.mffc(id, &fanouts))
+            })
+            .collect();
+        // Start both scratches a few queries short of the wrap, so the
+        // queries below cross it with stale stamps from before.
+        let mut cone = ConeScratch::new();
+        let mut mffc = MffcScratch::new();
+        for id in aig.iter_ands() {
+            aig.cone_interior(id, &leaves, &mut cone).expect("cut");
+            aig.cone_mffc(id, &fanouts, &mut cone);
+            aig.mffc_with(id, &fanouts, &mut mffc);
+        }
+        cone.slots.epoch = u32::MAX - 2;
+        cone.marks.epoch = u32::MAX - 2;
+        mffc.deltas.epoch = u32::MAX - 2;
+        for _ in 0..3 {
+            for (id, (interior, cut_mffc, full_mffc)) in aig.iter_ands().zip(&want) {
+                let got = aig.cone_interior(id, &leaves, &mut cone).expect("cut");
+                assert_eq!(got, interior.as_slice(), "interior of {id}");
+                let got = aig.cone_mffc(id, &fanouts, &mut cone);
+                assert_eq!(got, cut_mffc.as_slice(), "cut MFFC of {id}");
+                let got = aig.mffc_with(id, &fanouts, &mut mffc);
+                assert_eq!(&got, full_mffc, "MFFC of {id}");
+            }
+        }
+        assert!(cone.slots.epoch < 100 && mffc.deltas.epoch < 100, "wrapped");
     }
 }

@@ -208,10 +208,11 @@ mod tests {
         // Every enumerated cut must be a valid cut (cone_interior succeeds).
         let (aig, ..) = sample();
         let sets = aig.enumerate_cuts(4, 8);
+        let mut scratch = crate::ConeScratch::new();
         for id in aig.iter_ands() {
             for cut in sets[id.index()].nontrivial() {
                 assert!(
-                    aig.cone_interior(id, cut.leaves()).is_some(),
+                    aig.cone_interior(id, cut.leaves(), &mut scratch).is_some(),
                     "cut {cut:?} of {id} is not a cut"
                 );
             }

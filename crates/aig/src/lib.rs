@@ -66,7 +66,7 @@ mod rebuild;
 mod stats;
 mod window;
 
-pub use cone::{Cone, FanoutMap, MffcScratch};
+pub use cone::{Cone, ConeScratch, FanoutMap, MffcScratch};
 pub use cuts::{Cut, CutSet};
 pub use error::{AigError, RebuildError};
 pub use graph::{Aig, Node};

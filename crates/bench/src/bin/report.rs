@@ -105,6 +105,8 @@ const KNOWN_COUNTERS: &[&str] = &[
     "window_extracted",
     "window_nodes",
     "divisors_filtered_by_signature",
+    "rewrite_cuts_evaluated",
+    "refactor_cones_evaluated",
     "overhead_probe",
     "cert_miters_built",
     "cert_sat_queries",

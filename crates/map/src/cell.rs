@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use alsrac_aig::{Aig, Node, NodeId};
+use alsrac_aig::{Aig, ConeScratch, Node, NodeId};
 use alsrac_truthtable::{cone_tt, Tt};
 
 /// One library gate: a named function with area and pin-to-output delay.
@@ -224,6 +224,7 @@ pub fn map_cells_with_mode(aig: &Aig, library: &Library, mode: MapMode) -> CellM
         }
     }
 
+    let mut scratch = ConeScratch::new();
     for id in aig.iter_nodes() {
         let i = id.index();
         match *aig.node(id) {
@@ -237,7 +238,7 @@ pub fn map_cells_with_mode(aig: &Aig, library: &Library, mode: MapMode) -> CellM
             }
             Node::And { .. } => {
                 for cut in cut_sets[i].nontrivial() {
-                    let Some(tt) = cone_tt(aig, id.lit(), cut.leaves()) else {
+                    let Some(tt) = cone_tt(aig, id.lit(), cut.leaves(), &mut scratch) else {
                         continue;
                     };
                     for phase in 0..2 {

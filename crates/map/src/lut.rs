@@ -1,6 +1,6 @@
 //! K-input LUT mapping.
 
-use alsrac_aig::{Aig, Node, NodeId};
+use alsrac_aig::{Aig, ConeScratch, Node, NodeId};
 use alsrac_truthtable::{cone_tt, Tt};
 
 /// One mapped LUT.
@@ -98,12 +98,14 @@ pub fn map_luts(aig: &Aig, k: usize) -> LutMapping {
         }
     }
     let mut luts = Vec::new();
+    let mut scratch = ConeScratch::new();
     while let Some(id) = stack.pop() {
         if std::mem::replace(&mut needed[id.index()], true) {
             continue;
         }
         let cut = &cut_sets[id.index()].cuts()[best_cut[id.index()]];
-        let tt = cone_tt(aig, id.lit(), cut.leaves()).expect("enumerated cuts are valid cuts");
+        let tt = cone_tt(aig, id.lit(), cut.leaves(), &mut scratch)
+            .expect("enumerated cuts are valid cuts");
         for &leaf in cut.leaves() {
             if aig.node(leaf).is_and() {
                 stack.push(leaf);

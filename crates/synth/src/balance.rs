@@ -4,6 +4,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use alsrac_aig::{Aig, Lit, Node, NodeId};
+use alsrac_rt::trace;
 
 /// Rebuilds the graph with every single-fanout conjunction chain
 /// re-associated into a minimum-height tree (ABC's `balance`).
@@ -12,6 +13,7 @@ use alsrac_aig::{Aig, Lit, Node, NodeId};
 /// is duplicated; the result is functionally equivalent and never deeper
 /// than the input.
 pub fn balance(aig: &Aig) -> Aig {
+    let _span = trace::span("balance");
     let fanouts = aig.fanout_map();
     let mut out = Aig::new(aig.name().to_string());
     // map[node] = balanced literal in `out`.
@@ -20,6 +22,9 @@ pub fn balance(aig: &Aig) -> Aig {
     for (pos, &input) in aig.inputs().iter().enumerate() {
         map[input.index()] = Some(out.add_input(aig.input_name(pos).to_string()));
     }
+    // Level of every node of `out`, grown as nodes are created: a node's
+    // level never changes, so this equals `out.levels()` at every point.
+    let mut levels: Vec<u32> = vec![0; out.num_nodes()];
 
     // Process AND nodes in topological order; node ids are already
     // topological.
@@ -46,24 +51,24 @@ pub fn balance(aig: &Aig) -> Aig {
         // Map leaves into the new graph. The heap is keyed by an upper
         // bound on each term's level (exact for fresh nodes; constant folds
         // and strash hits can only be shallower).
-        let levels = out.levels();
         let mut heap: BinaryHeap<Reverse<(u32, u32)>> = leaves
             .iter()
             .map(|&l| {
                 let mapped = map[l.node().index()]
                     .expect("leaf processed before (topological order)")
                     .complement_if(l.is_complement());
-                Reverse((
-                    levels.get(mapped.node().index()).copied().unwrap_or(0),
-                    mapped.raw(),
-                ))
+                Reverse((levels[mapped.node().index()], mapped.raw()))
             })
             .collect();
         // Huffman-style: repeatedly combine the two shallowest terms.
         while heap.len() > 1 {
             let Reverse((la, a_raw)) = heap.pop().expect("len > 1");
             let Reverse((lb, b_raw)) = heap.pop().expect("len > 1");
-            let combined = out.and(Lit::from_raw(a_raw), Lit::from_raw(b_raw));
+            let (a, b) = (Lit::from_raw(a_raw), Lit::from_raw(b_raw));
+            let combined = out.and(a, b);
+            if out.num_nodes() > levels.len() {
+                levels.push(1 + levels[a.node().index()].max(levels[b.node().index()]));
+            }
             heap.push(Reverse((la.max(lb) + 1, combined.raw())));
         }
         let root = heap

@@ -21,7 +21,8 @@
 //!
 //! Every pass is *exact*: the optimized graph is functionally equivalent to
 //! its input (property-tested in this crate against exhaustive
-//! simulation).
+//! simulation). Each pass opens an `alsrac_rt::trace` span named after it,
+//! so under the flow they show as `flow/optimize/<pass>`.
 //!
 //! # Example
 //!

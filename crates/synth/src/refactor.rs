@@ -6,10 +6,11 @@
 //! re-synthesized as a minimized factored form, substituted when smaller
 //! (ABC's `refactor`).
 
-use std::collections::HashMap;
+use alsrac_aig::{Aig, ConeScratch, MffcScratch, NodeId};
+use alsrac_rt::trace;
+use alsrac_truthtable::cone_tt;
 
-use alsrac_aig::{Aig, Lit, Node, NodeId};
-use alsrac_truthtable::{cone_tt, factored_aig_cost, isop, minimize, sop_to_aig, Tt};
+use crate::rewrite::{recipe, substitute};
 
 /// Options for [`refactor`].
 #[derive(Clone, Debug)]
@@ -35,12 +36,16 @@ impl Default for RefactorConfig {
 /// One refactoring pass. Returns the refactored (and swept) graph; the
 /// result is functionally equivalent to the input.
 pub fn refactor(aig: &Aig, config: &RefactorConfig) -> Aig {
-    let mut work = aig.clone();
+    let _span = trace::span("refactor");
+    let work = aig.clone();
     let fanouts = work.fanout_map();
+    let mut mffc_scratch = MffcScratch::new();
+    let mut cone_scratch = ConeScratch::new();
     // Decisions are collected first and materialized after the scan, so the
     // fanout map and MFFC queries always see the unmodified graph.
-    let mut pending: Vec<(NodeId, alsrac_truthtable::Sop, bool, Vec<NodeId>)> = Vec::new();
+    let mut pending = Vec::new();
     let mut claimed = vec![false; work.num_nodes()];
+    let mut cones_evaluated = 0u64;
 
     // Visit large nodes first (reverse topological order) so enclosing
     // cones get priority over their sub-cones.
@@ -49,68 +54,29 @@ pub fn refactor(aig: &Aig, config: &RefactorConfig) -> Aig {
         if claimed[id.index()] {
             continue;
         }
-        let mffc = work.mffc(id, &fanouts);
+        let mffc = work.mffc_with(id, &fanouts, &mut mffc_scratch);
         if mffc.len() < config.min_cone || mffc.iter().any(|n| claimed[n.index()]) {
             continue;
         }
-        // Leaves: fanins of MFFC members that are not themselves members.
-        let mut in_mffc = vec![false; work.num_nodes()];
-        for &n in &mffc {
-            in_mffc[n.index()] = true;
-        }
-        let mut leaves: Vec<NodeId> = Vec::new();
-        for &n in &mffc {
-            if let Node::And { f0, f1 } = *work.node(n) {
-                for fanin in [f0.node(), f1.node()] {
-                    if !in_mffc[fanin.index()] && fanin != NodeId::CONST && !leaves.contains(&fanin)
-                    {
-                        leaves.push(fanin);
-                    }
-                }
-            }
-        }
+        let leaves = work.cone_leaves(&mffc, &mut cone_scratch);
         if leaves.len() > config.max_leaves || leaves.is_empty() {
             continue;
         }
-        leaves.sort_unstable();
-        let Some(tt) = cone_tt(&work, id.lit(), &leaves) else {
+        let Some(tt) = cone_tt(&work, id.lit(), &leaves, &mut cone_scratch) else {
             continue;
         };
-        let n = tt.nvars();
-        let pos = minimize(&isop(&tt, &tt), &tt, &Tt::zero(n));
-        let neg_tt = tt.not();
-        let neg = minimize(&isop(&neg_tt, &neg_tt), &neg_tt, &Tt::zero(n));
-        let (cover, complemented, cost) = {
-            let pc = factored_aig_cost(&pos, n);
-            let nc = factored_aig_cost(&neg, n);
-            if nc < pc {
-                (neg, true, nc)
-            } else {
-                (pos, false, pc)
-            }
-        };
-        let gain = mffc.len() as isize - cost as isize;
+        cones_evaluated += 1;
+        let recipe = recipe(&tt);
+        let gain = mffc.len() as isize - recipe.cost as isize;
         if gain > 0 || (config.zero_gain && gain == 0) {
             for &n in &mffc {
                 claimed[n.index()] = true;
             }
-            pending.push((id, cover, complemented, leaves));
+            pending.push((id, recipe, leaves));
         }
     }
-
-    if pending.is_empty() {
-        return work.cleaned();
-    }
-    let mut substitutions: HashMap<NodeId, Lit> = HashMap::new();
-    for (id, cover, complemented, leaves) in pending {
-        let leaf_lits: Vec<Lit> = leaves.iter().map(|&l| l.lit()).collect();
-        let new_lit = sop_to_aig(&mut work, &cover, &leaf_lits).complement_if(complemented);
-        if new_lit.node() != id {
-            substitutions.insert(id, new_lit);
-        }
-    }
-    work.rebuilt_with_substitutions(&substitutions)
-        .expect("refactor substitutions reference strict TFI cones")
+    trace::add("refactor_cones_evaluated", cones_evaluated);
+    substitute(work, pending)
 }
 
 #[cfg(test)]

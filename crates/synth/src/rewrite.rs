@@ -1,15 +1,30 @@
-//! Cut-based rewriting.
+//! Cut-based rewriting, and the replacement recipes it shares with
+//! refactoring.
 //!
 //! For every AND node, enumerate its 4-feasible cuts, derive each cut's
 //! truth table, re-synthesize the function as a minimized factored form,
 //! and substitute when the replacement is smaller than the logic it frees
-//! (the node's MFFC restricted to the cut cone). Replacement structures are
-//! memoized per truth table, playing the role of ABC's precomputed NPN
-//! library.
+//! (the node's MFFC restricted to the cut cone). Each cut's cone is walked
+//! once, in a [`ConeScratch`] reused across cuts, so a pass costs time
+//! proportional to the cones it examines rather than to the graph per cut.
+//!
+//! **The recipe memo.** `recipe` derives a replacement once per truth
+//! table and keeps it in a memo that [`rewrite`] and
+//! [`refactor`](crate::refactor) share, playing the role of ABC's
+//! precomputed library. The memo is thread-local and lives as long as its
+//! thread, across passes and `optimize` calls, because the ALSRAC flow
+//! runs `optimize` hundreds of times on nearly identical circuits. It holds
+//! at most `MEMO_CAP` truth tables and is cleared when full. A recipe is
+//! a pure function of its truth table, so a hit returns exactly what a
+//! miss would compute: no result depends on the memo's contents, on which
+//! thread runs a pass, or on what that thread ran before.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
+use std::rc::Rc;
 
-use alsrac_aig::{Aig, Lit, NodeId};
+use alsrac_aig::{Aig, ConeScratch, Lit, NodeId};
+use alsrac_rt::trace;
 use alsrac_truthtable::{cone_tt, factored_aig_cost, isop, minimize, sop_to_aig, Sop, Tt};
 
 /// Options for [`rewrite`].
@@ -34,25 +49,38 @@ impl Default for RewriteConfig {
     }
 }
 
-/// A memoized replacement recipe: the chosen cover and polarity for a truth
-/// table, plus its standalone node cost.
-struct Recipe {
+/// A replacement recipe: the chosen cover and polarity for a truth table,
+/// plus its standalone node cost.
+pub(crate) struct Recipe {
     cover: Sop,
     complemented: bool,
-    cost: usize,
+    pub(crate) cost: usize,
 }
 
-/// Synthesizes (and memoizes) the cheaper of `isop(f)` / `isop(!f)` as a
-/// factored cover.
-fn recipe_for<'c>(cache: &'c mut HashMap<Tt, Recipe>, tt: &Tt) -> &'c Recipe {
-    if !cache.contains_key(tt) {
+/// Truth tables the recipe memo holds before it is cleared. Whole ALSRAC
+/// runs on the Paper-scale circuits derive about a thousand distinct
+/// functions (mostly 4-input cuts, some up-to-10-input refactoring cones),
+/// roughly 150 bytes each, so a full memo stays near 300 KB.
+const MEMO_CAP: usize = 2048;
+
+thread_local! {
+    static MEMO: RefCell<HashMap<Tt, Rc<Recipe>>> = RefCell::new(HashMap::new());
+}
+
+/// The cheaper of `isop(f)` / `isop(!f)`, minimized and factored, from
+/// this thread's memo (derived and memoized on a miss).
+pub(crate) fn recipe(tt: &Tt) -> Rc<Recipe> {
+    MEMO.with(|memo| {
+        if let Some(recipe) = memo.borrow().get(tt) {
+            return Rc::clone(recipe);
+        }
         let n = tt.nvars();
         let pos = minimize(&isop(tt, tt), tt, &Tt::zero(n));
         let neg_tt = tt.not();
         let neg = minimize(&isop(&neg_tt, &neg_tt), &neg_tt, &Tt::zero(n));
         let pos_cost = factored_aig_cost(&pos, n);
         let neg_cost = factored_aig_cost(&neg, n);
-        let recipe = if neg_cost < pos_cost {
+        let recipe = Rc::new(if neg_cost < pos_cost {
             Recipe {
                 cover: neg,
                 complemented: true,
@@ -64,132 +92,94 @@ fn recipe_for<'c>(cache: &'c mut HashMap<Tt, Recipe>, tt: &Tt) -> &'c Recipe {
                 complemented: false,
                 cost: pos_cost,
             }
-        };
-        cache.insert(tt.clone(), recipe);
-    }
-    cache.get(tt).expect("just inserted")
+        });
+        let mut memo = memo.borrow_mut();
+        if memo.len() >= MEMO_CAP {
+            memo.clear();
+        }
+        memo.insert(tt.clone(), Rc::clone(&recipe));
+        recipe
+    })
 }
 
-/// One rewriting pass over the graph. Returns the rewritten (and swept)
-/// graph; the result is functionally equivalent to the input.
-pub fn rewrite(aig: &Aig, config: &RewriteConfig) -> Aig {
-    let mut work = aig.clone();
-    let cut_sets = work.enumerate_cuts(config.cut_size, config.max_cuts);
-    let fanouts = work.fanout_map();
-    let mut cache: HashMap<Tt, Recipe> = HashMap::new();
-    // Decisions are collected first and materialized after the scan, so
-    // cut/fanout/MFFC queries always see the unmodified graph.
-    let mut pending: Vec<(NodeId, Sop, bool, Vec<NodeId>)> = Vec::new();
-    // Nodes already freed by an accepted substitution this pass: their
-    // savings must not be double-counted by enclosing cones.
-    let mut claimed = vec![false; work.num_nodes()];
-
-    let and_nodes: Vec<NodeId> = work.iter_ands().collect();
-    for &id in &and_nodes {
-        if claimed[id.index()] {
-            continue;
-        }
-        let mut best: Option<(isize, Vec<NodeId>, bool, Sop)> = None;
-        for cut in cut_sets[id.index()].nontrivial() {
-            if cut.len() < 2 {
-                continue;
-            }
-            let Some(tt) = cone_tt(&work, id.lit(), cut.leaves()) else {
-                continue;
-            };
-            // Savings: interior nodes of the cone that are referenced only
-            // from inside it (the cut-local MFFC), none already claimed.
-            let Some(interior) = work.cone_interior(id, cut.leaves()) else {
-                continue;
-            };
-            let mffc = cut_local_mffc(&work, id, &interior, &fanouts);
-            if mffc.iter().any(|n| claimed[n.index()]) {
-                continue;
-            }
-            let saved = mffc.len() as isize;
-            let recipe = recipe_for(&mut cache, &tt);
-            let gain = saved - recipe.cost as isize;
-            let acceptable = gain > 0 || (config.zero_gain && gain == 0);
-            if acceptable && best.as_ref().is_none_or(|(g, ..)| gain > *g) {
-                best = Some((
-                    gain,
-                    cut.leaves().to_vec(),
-                    recipe.complemented,
-                    recipe.cover.clone(),
-                ));
-            }
-        }
-        if let Some((_gain, leaves, complemented, cover)) = best {
-            // Claim the freed nodes so overlapping cones don't recount them.
-            let interior = work
-                .cone_interior(id, &leaves)
-                .expect("cut validated above");
-            for n in cut_local_mffc(&work, id, &interior, &fanouts) {
-                claimed[n.index()] = true;
-            }
-            pending.push((id, cover, complemented, leaves));
-        }
-    }
-
+/// Materializes the accepted `(root, recipe, leaves)` replacements in
+/// `work` and rebuilds it with each root substituted.
+pub(crate) fn substitute<L: AsRef<[NodeId]>>(
+    mut work: Aig,
+    pending: Vec<(NodeId, Rc<Recipe>, L)>,
+) -> Aig {
     if pending.is_empty() {
         return work.cleaned();
     }
     let mut substitutions: HashMap<NodeId, Lit> = HashMap::new();
-    for (id, cover, complemented, leaves) in pending {
-        let leaf_lits: Vec<Lit> = leaves.iter().map(|&n| n.lit()).collect();
-        let new_lit = sop_to_aig(&mut work, &cover, &leaf_lits).complement_if(complemented);
+    for (id, recipe, leaves) in pending {
+        let leaf_lits: Vec<Lit> = leaves.as_ref().iter().map(|&n| n.lit()).collect();
+        let new_lit =
+            sop_to_aig(&mut work, &recipe.cover, &leaf_lits).complement_if(recipe.complemented);
         if new_lit.node() != id {
             substitutions.insert(id, new_lit);
         }
     }
     work.rebuilt_with_substitutions(&substitutions)
-        .expect("rewrite substitutions reference strict TFI cones")
+        .expect("substitutions reference strict TFI cones")
 }
 
-/// The nodes of `interior` (a cone of `root`) that become dangling when the
-/// root is replaced: every reference to them comes from inside the cone.
-fn cut_local_mffc(
-    aig: &Aig,
-    root: NodeId,
-    interior: &[NodeId],
-    fanouts: &alsrac_aig::FanoutMap,
-) -> Vec<NodeId> {
-    let mut in_cone = vec![false; aig.num_nodes()];
-    for &n in interior {
-        in_cone[n.index()] = true;
-    }
-    // Iterate to a fixed point: a node is freed if it is the root or all of
-    // its fanouts are freed cone members (and it drives no output).
-    let mut freed = vec![false; aig.num_nodes()];
-    freed[root.index()] = true;
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for &n in interior.iter().rev() {
-            if freed[n.index()] || n == root {
+/// One rewriting pass over the graph. Returns the rewritten (and swept)
+/// graph; the result is functionally equivalent to the input.
+pub fn rewrite(aig: &Aig, config: &RewriteConfig) -> Aig {
+    let _span = trace::span("rewrite");
+    let work = aig.clone();
+    let cut_sets = work.enumerate_cuts(config.cut_size, config.max_cuts);
+    let fanouts = work.fanout_map();
+    let mut scratch = ConeScratch::new();
+    // Decisions are collected first and materialized after the scan, so
+    // cut/fanout/MFFC queries always see the unmodified graph.
+    let mut pending: Vec<(NodeId, Rc<Recipe>, &[NodeId])> = Vec::new();
+    // Nodes already freed by an accepted substitution this pass: their
+    // savings must not be double-counted by enclosing cones.
+    let mut claimed = vec![false; work.num_nodes()];
+    let mut cuts_evaluated = 0u64;
+    // The nodes the best cut's replacement frees.
+    let mut best_mffc: Vec<NodeId> = Vec::new();
+
+    for id in work.iter_ands() {
+        if claimed[id.index()] {
+            continue;
+        }
+        let mut best: Option<(isize, &[NodeId], Rc<Recipe>)> = None;
+        for cut in cut_sets[id.index()].nontrivial() {
+            if cut.len() < 2 {
                 continue;
             }
-            let all_consumers_freed = fanouts.fanouts(n).iter().all(|f| freed[f.index()])
-                && fanouts.ref_count(n)
-                    == fanouts
-                        .fanouts(n)
-                        .iter()
-                        .map(|f| {
-                            let [f0, f1] = aig.and_fanins(*f);
-                            (f0.node() == n) as u32 + (f1.node() == n) as u32
-                        })
-                        .sum::<u32>();
-            if all_consumers_freed {
-                freed[n.index()] = true;
-                changed = true;
+            let Some(tt) = cone_tt(&work, id.lit(), cut.leaves(), &mut scratch) else {
+                continue;
+            };
+            cuts_evaluated += 1;
+            // Savings: interior nodes of the cone that are referenced only
+            // from inside it (the cut-local MFFC), none already claimed.
+            let mffc = work.cone_mffc(id, &fanouts, &mut scratch);
+            if mffc.iter().any(|n| claimed[n.index()]) {
+                continue;
+            }
+            let recipe = recipe(&tt);
+            let gain = mffc.len() as isize - recipe.cost as isize;
+            let acceptable = gain > 0 || (config.zero_gain && gain == 0);
+            if acceptable && best.as_ref().is_none_or(|(g, ..)| gain > *g) {
+                best = Some((gain, cut.leaves(), recipe));
+                best_mffc.clear();
+                best_mffc.extend_from_slice(mffc);
             }
         }
+        if let Some((_gain, leaves, recipe)) = best {
+            // Claim the freed nodes so overlapping cones don't recount them.
+            for &n in &best_mffc {
+                claimed[n.index()] = true;
+            }
+            pending.push((id, recipe, leaves));
+        }
     }
-    interior
-        .iter()
-        .copied()
-        .filter(|n| freed[n.index()])
-        .collect()
+    trace::add("rewrite_cuts_evaluated", cuts_evaluated);
+    substitute(work, pending)
 }
 
 #[cfg(test)]
