@@ -25,6 +25,10 @@
 //! When `max_tfi` is at least the pivot's full TFI size, the collected
 //! window is *exactly* the TFI cone — the property the flow's
 //! bit-identity gate on small circuits rests on.
+//!
+//! LAC generation needs only the divisor candidate pool, so it calls
+//! [`WindowExtractor::tfi_members`] — the bounded TFI walk alone — and
+//! never builds the full [`Window`].
 
 use crate::{Aig, FanoutMap, Lit, Node, NodeId, RebuildError};
 use std::collections::HashMap;
@@ -154,24 +158,21 @@ impl WindowExtractor {
         true
     }
 
-    /// Extracts the window around `pivot` under `params`.
+    /// Walks the pivot's bounded TFI — phase 1 of [`extract`] alone — and
+    /// returns its members in walk order (unsorted). This is the divisor
+    /// candidate pool: the same node set as [`Window::tfi_nodes`] under
+    /// the same bound, without the leaf/interior/root classification.
     ///
-    /// The TFI walk mirrors [`Aig::tfi_cone`]'s traversal order and stops
+    /// The walk mirrors [`Aig::tfi_cone`]'s traversal order and stops
     /// *expanding* once `max_tfi` nodes are collected — already-reached
-    /// fanins stay in the window as leaves. The pivot itself is always
-    /// expanded, so an AND pivot is always interior. `fanouts` must be the
-    /// fanout map of `aig` (same snapshot).
-    pub fn extract(
-        &mut self,
-        aig: &Aig,
-        fanouts: &FanoutMap,
-        pivot: NodeId,
-        params: &WindowParams,
-    ) -> Window {
+    /// fanins stay in as leaves. `max_tfi = 0` means unbounded: the result
+    /// is then exactly the TFI cone, at `O(cone)` cost instead of
+    /// `tfi_cone`'s `O(n)` bitmap. The pivot itself is always expanded.
+    ///
+    /// [`extract`]: WindowExtractor::extract
+    pub fn tfi_members(&mut self, aig: &Aig, pivot: NodeId, max_tfi: usize) -> &[NodeId] {
         self.begin(aig.num_nodes());
         let epoch = self.epoch;
-
-        // Phase 1: bounded TFI walk (same DFS order as `tfi_cone`).
         self.visit(pivot);
         if aig.node(pivot).is_and() {
             self.expanded[pivot.index()] = epoch;
@@ -183,7 +184,7 @@ impl WindowExtractor {
             if !self.visit(id) {
                 continue;
             }
-            let within_budget = params.max_tfi == 0 || self.members.len() < params.max_tfi;
+            let within_budget = max_tfi == 0 || self.members.len() < max_tfi;
             if within_budget && aig.node(id).is_and() {
                 self.expanded[id.index()] = epoch;
                 let [f0, f1] = aig.and_fanins(id);
@@ -191,8 +192,25 @@ impl WindowExtractor {
                 self.stack.push(f1.node());
             }
         }
-        let mut tfi_members = self.members.clone();
+        &self.members
+    }
+
+    /// Extracts the window around `pivot` under `params`.
+    ///
+    /// The TFI side is [`WindowExtractor::tfi_members`] under
+    /// `params.max_tfi`, so an AND pivot is always interior. `fanouts`
+    /// must be the fanout map of `aig` (same snapshot).
+    pub fn extract(
+        &mut self,
+        aig: &Aig,
+        fanouts: &FanoutMap,
+        pivot: NodeId,
+        params: &WindowParams,
+    ) -> Window {
+        // Phase 1: bounded TFI walk.
+        let mut tfi_members = self.tfi_members(aig, pivot, params.max_tfi).to_vec();
         tfi_members.sort_unstable();
+        let epoch = self.epoch;
 
         // Phase 2: depth-limited TFO over fanout edges, then close the
         // window by pulling each TFO node's side fanins in as leaves.
@@ -399,6 +417,28 @@ mod tests {
         assert_eq!(w.leaves().len(), 4);
         assert_eq!(w.interior().len(), 3);
         assert!(w.roots().contains(&pivot));
+    }
+
+    #[test]
+    fn tfi_members_match_the_window_and_the_cone() {
+        let (aig, _) = sample();
+        let fanouts = aig.fanout_map();
+        let mut ex = WindowExtractor::new();
+        for id in aig.iter_nodes() {
+            let mut whole = ex.tfi_members(&aig, id, 0).to_vec();
+            whole.sort_unstable();
+            assert_eq!(whole, aig.tfi_cone(id).members(), "node {id}");
+            for max_tfi in [1, 2, 3, 1000] {
+                let mut pool = ex.tfi_members(&aig, id, max_tfi).to_vec();
+                pool.sort_unstable();
+                let params = WindowParams {
+                    max_tfi,
+                    tfo_depth: 0,
+                };
+                let w = ex.extract(&aig, &fanouts, id, &params);
+                assert_eq!(pool, w.tfi_nodes(), "node {id}, max_tfi {max_tfi}");
+            }
+        }
     }
 
     #[test]

@@ -43,19 +43,25 @@ fn bench_cuts(runner: &mut Runner) {
 
 fn bench_care_harvest(runner: &mut Runner) {
     let aig = arith::kogge_stone_adder(16);
-    let patterns = PatternBuffer::random(32, 32, 3);
-    let sim = Simulation::new(&aig, &patterns);
     let node = aig.iter_ands().last().expect("ands");
     let [f0, f1] = aig.and_fanins(node);
     let divisors = [f0.node().lit(), f1.node().lit()];
-    runner.bench("care harvest ksa16 (2 divisors, N=32)", || {
-        black_box(ApproximateCareSet::harvest(
-            black_box(&sim),
-            black_box(&patterns),
-            node.lit(),
-            &divisors,
-        ));
-    });
+    // N=100 spans two words, the second with a masked tail.
+    for (name, n) in [
+        ("care harvest ksa16 (2 divisors, N=32)", 32),
+        ("care harvest ksa16 (2 divisors, N=100)", 100),
+    ] {
+        let patterns = PatternBuffer::random(32, n, 3);
+        let sim = Simulation::new(&aig, &patterns);
+        runner.bench(name, || {
+            black_box(ApproximateCareSet::harvest(
+                black_box(&sim),
+                black_box(&patterns),
+                node.lit(),
+                &divisors,
+            ));
+        });
+    }
 }
 
 fn bench_influence(runner: &mut Runner) {

@@ -105,6 +105,8 @@ const KNOWN_COUNTERS: &[&str] = &[
     "window_extracted",
     "window_nodes",
     "divisors_filtered_by_signature",
+    "divisor_sets_harvested",
+    "isop_calls",
     "rewrite_cuts_evaluated",
     "refactor_cones_evaluated",
     "overhead_probe",

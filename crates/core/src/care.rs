@@ -12,7 +12,7 @@
 
 use alsrac_aig::Lit;
 use alsrac_sim::{PatternBuffer, Simulation};
-use alsrac_truthtable::Tt;
+use alsrac_truthtable::{Tt, MAX_VARS};
 
 /// The approximate care set of one node at one divisor set: the observed
 /// divisor patterns and the node value each demands.
@@ -29,6 +29,10 @@ pub struct ApproximateCareSet {
     care: Tt,
 }
 
+/// Row-state words for [`MAX_VARS`] divisors, per half (seen rows, on
+/// rows).
+const WIDE_ROW_WORDS: usize = 1 << (MAX_VARS - 6);
+
 impl ApproximateCareSet {
     /// Harvests the care patterns of the signal `node` at the divisor
     /// signals `divisors` from a simulation, checking feasibility on the
@@ -39,10 +43,16 @@ impl ApproximateCareSet {
     /// `None` if the divisor set is infeasible (Example 2 of the paper) —
     /// the common, cheap rejection path of Algorithm 2, line 8.
     ///
+    /// Works a 64-pattern word at a time: the word's valid lanes are split
+    /// by one divisor after another, and each non-empty leaf of that split
+    /// is one observed divisor row. The target must be constant on the
+    /// leaf's lanes and agree with the value the same row demanded in
+    /// earlier words. A word costs at most `min(2^k, 64·k)` word
+    /// operations, and a rejection allocates nothing.
+    ///
     /// # Panics
     ///
-    /// Panics if `divisors` is empty or longer than
-    /// [`MAX_VARS`](alsrac_truthtable::MAX_VARS).
+    /// Panics if `divisors` is empty or longer than [`MAX_VARS`].
     pub fn harvest(
         sim: &Simulation,
         patterns: &PatternBuffer,
@@ -50,33 +60,13 @@ impl ApproximateCareSet {
         divisors: &[Lit],
     ) -> Option<ApproximateCareSet> {
         assert!(!divisors.is_empty(), "at least one divisor required");
-        let k = divisors.len();
-        let mut on = Tt::zero(k);
-        let mut care = Tt::zero(k);
-        for p in 0..patterns.num_patterns() {
-            let mut pattern = 0usize;
-            for (i, &d) in divisors.iter().enumerate() {
-                if sim.lit_bit(d, p) {
-                    pattern |= 1 << i;
-                }
-            }
-            let value = sim.lit_bit(node, p);
-            if care.get(pattern) {
-                if on.get(pattern) != value {
-                    return None; // conflicting demand: infeasible divisors
-                }
-            } else {
-                care.set(pattern, true);
-                if value {
-                    on.set(pattern, true);
-                }
-            }
+        assert!(divisors.len() <= MAX_VARS, "at most {MAX_VARS} divisors");
+        if divisors.len() <= 6 {
+            // The rows of up to six divisors fit one word per half.
+            harvest_rows(sim, patterns, node, divisors, &mut [0u64; 2])
+        } else {
+            harvest_wide(sim, patterns, node, divisors)
         }
-        Some(ApproximateCareSet {
-            num_divisors: k,
-            on,
-            care,
-        })
     }
 
     /// Number of divisor variables.
@@ -105,10 +95,178 @@ impl ApproximateCareSet {
     }
 }
 
+/// [`ApproximateCareSet::harvest`] for more than six divisors: the same
+/// walk over a stack buffer large enough for [`MAX_VARS`] divisors, kept
+/// out of line so the common narrow case does not reserve it.
+#[cold]
+#[inline(never)]
+fn harvest_wide(
+    sim: &Simulation,
+    patterns: &PatternBuffer,
+    node: Lit,
+    divisors: &[Lit],
+) -> Option<ApproximateCareSet> {
+    let words = 1 << (divisors.len() - 6);
+    let mut rows = [0u64; 2 * WIDE_ROW_WORDS];
+    harvest_rows(sim, patterns, node, divisors, &mut rows[..2 * words])
+}
+
+/// The word-parallel harvest. `rows` is zeroed row state: its first half
+/// marks the divisor rows seen so far, its second half the rows whose
+/// demanded value is 1 (row `r` is bit `r % 64` of word `r / 64`).
+fn harvest_rows(
+    sim: &Simulation,
+    patterns: &PatternBuffer,
+    node: Lit,
+    divisors: &[Lit],
+    rows: &mut [u64],
+) -> Option<ApproximateCareSet> {
+    let k = divisors.len();
+    let (seen, on) = rows.split_at_mut(rows.len() / 2);
+    let mut divisor_words = [0u64; MAX_VARS];
+    // Depth-first split: each entry is (lanes, divisors split so far, row
+    // bits so far). A pop pushes at most two children, one per branch, so
+    // at most one pending sibling per level: k + 1 entries.
+    let mut stack = [(0u64, 0usize, 0usize); MAX_VARS + 1];
+    for w in 0..patterns.num_words() {
+        let mask = patterns.word_mask(w);
+        for (slot, &d) in divisor_words.iter_mut().zip(divisors) {
+            *slot = sim.lit_word(d, w);
+        }
+        let target = sim.lit_word(node, w);
+        stack[0] = (mask, 0, 0);
+        let mut top = usize::from(mask != 0);
+        while top > 0 {
+            top -= 1;
+            let (lanes, depth, row) = stack[top];
+            if depth == k {
+                let ones = target & lanes;
+                let value = ones != 0;
+                if value && ones != lanes {
+                    return None; // the target takes both values on this row
+                }
+                let (word, bit) = (row / 64, 1u64 << (row % 64));
+                if seen[word] & bit == 0 {
+                    seen[word] |= bit;
+                    if value {
+                        on[word] |= bit;
+                    }
+                } else if (on[word] & bit != 0) != value {
+                    return None; // conflicts with an earlier word's demand
+                }
+                continue;
+            }
+            let d = divisor_words[depth];
+            let (low, high) = (lanes & !d, lanes & d);
+            if low != 0 {
+                stack[top] = (low, depth + 1, row);
+                top += 1;
+            }
+            if high != 0 {
+                stack[top] = (high, depth + 1, row | 1 << depth);
+                top += 1;
+            }
+        }
+    }
+    let table = |bits: &[u64]| Tt::from_fn(k, |p| bits[p / 64] >> (p % 64) & 1 != 0);
+    Some(ApproximateCareSet {
+        num_divisors: k,
+        on: table(on),
+        care: table(seen),
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alsrac_aig::Aig;
+    use alsrac_aig::{Aig, NodeId};
+
+    /// The straightforward per-pattern harvest: the reference the
+    /// word-parallel [`ApproximateCareSet::harvest`] must equal.
+    fn harvest_per_bit(
+        sim: &Simulation,
+        patterns: &PatternBuffer,
+        node: Lit,
+        divisors: &[Lit],
+    ) -> Option<ApproximateCareSet> {
+        let k = divisors.len();
+        let mut on = Tt::zero(k);
+        let mut care = Tt::zero(k);
+        for p in 0..patterns.num_patterns() {
+            let mut pattern = 0usize;
+            for (i, &d) in divisors.iter().enumerate() {
+                if sim.lit_bit(d, p) {
+                    pattern |= 1 << i;
+                }
+            }
+            let value = sim.lit_bit(node, p);
+            if care.get(pattern) {
+                if on.get(pattern) != value {
+                    return None;
+                }
+            } else {
+                care.set(pattern, true);
+                if value {
+                    on.set(pattern, true);
+                }
+            }
+        }
+        Some(ApproximateCareSet {
+            num_divisors: k,
+            on,
+            care,
+        })
+    }
+
+    #[test]
+    fn word_parallel_harvest_equals_the_per_bit_reference() {
+        use alsrac_circuits::random_logic::{random_network, RandomNetworkConfig};
+        use alsrac_rt::Rng;
+        let mut outcomes = [0u32; 2];
+        for seed in 1..4u64 {
+            let aig = random_network(&RandomNetworkConfig {
+                num_inputs: 10,
+                num_outputs: 4,
+                num_gates: 150,
+                locality: 20,
+                seed,
+            });
+            let nodes: Vec<NodeId> = aig.iter_nodes().collect();
+            let mut rng = Rng::from_seed(seed);
+            let pick = |rng: &mut Rng| {
+                let node = nodes[rng.next_u64() as usize % nodes.len()];
+                Lit::new(node, rng.next_u64() & 1 == 1)
+            };
+            for n in [1, 63, 64, 65, 100, 130] {
+                let patterns = PatternBuffer::random(aig.num_inputs(), n, seed * 1000 + n as u64);
+                let sim = Simulation::new(&aig, &patterns);
+                for k in 1..=8 {
+                    for _ in 0..40 {
+                        let target = pick(&mut rng);
+                        let divisors: Vec<Lit> = (0..k).map(|_| pick(&mut rng)).collect();
+                        let want = harvest_per_bit(&sim, &patterns, target, &divisors);
+                        let got = ApproximateCareSet::harvest(&sim, &patterns, target, &divisors);
+                        let label = format!("seed {seed}, n {n}, {target:?} over {divisors:?}");
+                        match (got, want) {
+                            (None, None) => outcomes[0] += 1,
+                            (Some(got), Some(want)) => {
+                                outcomes[1] += 1;
+                                assert_eq!(got.num_divisors(), want.num_divisors(), "{label}");
+                                assert_eq!(got.on_set(), want.on_set(), "{label}");
+                                assert_eq!(got.care_set(), want.care_set(), "{label}");
+                            }
+                            (got, want) => panic!(
+                                "{label}: feasible {} vs reference {}",
+                                got.is_some(),
+                                want.is_some()
+                            ),
+                        }
+                    }
+                }
+            }
+        }
+        assert!(outcomes[0] > 100 && outcomes[1] > 100, "{outcomes:?}");
+    }
 
     /// The paper's Fig. 1a circuit. Returns (aig, nodes...) with the same
     /// signal names: inputs a,b,c,d; x = !a & !c; y = c & (a|b)... the

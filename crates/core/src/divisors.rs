@@ -11,19 +11,30 @@
 //! depends on them. TFI nodes are visited in ascending logic level, as in
 //! the paper's pseudocode.
 //!
-//! Two performance layers sit on top of Algorithm 1. Logic levels are
-//! *hoisted*: [`select_divisor_sets_with`] takes the per-node level slice
-//! (available from the flow's [`alsrac_aig::FanoutMap`]) instead of
-//! recomputing `Aig::levels` per call, which the old path did once per
-//! node per iteration. And the candidate pool can be drawn from a bounded
-//! [`Window`] instead of the full TFI cone; because the pool is re-sorted
-//! by `(level, index)` — a total order — a window that covers the whole
-//! TFI yields a bit-identical pool, which is what keeps the windowed flow
-//! bit-identical on small circuits.
+//! The sets are *streamed*: `divisor_sets` prepares a reused
+//! replacement-pool buffer once per node and then yields sets one at a
+//! time, so LAC generation stops paying as soon as it has its `lac_limit`
+//! candidates. Two facts keep the stream exactly equal to the full list:
+//!
+//! * The pool is ordered by `(level, index)`, a total order, so its order
+//!   does not depend on how the candidates were collected (whole TFI or a
+//!   bounded window), and any partial sort that yields the same first `m`
+//!   entries yields the same sets.
+//! * Only the first `max_sets - 1` pool entries can ever be used: the first
+//!   removal plus its replacements fill the cap whenever the pool is that
+//!   large. So the pool is cut to those entries with `select_nth_unstable`
+//!   and only they are sorted.
+//!
+//! With two distinct fanins, and a pool that excludes the node, both
+//! fanins and the constant, no two sets are equal: the sets of one removal
+//! all hold the kept fanin, those of the other do not, and pool entries are
+//! distinct. The stream needs no deduplication.
 
-use alsrac_aig::{Aig, Node, NodeId, Window};
+use std::ops::Deref;
 
-/// Configuration for [`select_divisor_sets`].
+use alsrac_aig::{Aig, Node, NodeId, WindowExtractor};
+
+/// Configuration for divisor-set selection.
 #[derive(Clone, Debug)]
 pub struct DivisorConfig {
     /// Upper bound on the number of candidate sets returned per node (keeps
@@ -44,99 +55,119 @@ impl Default for DivisorConfig {
     }
 }
 
-/// Computes candidate divisor sets for `node`, in Algorithm 1's order:
-/// per removed fanin, first the bare removal, then each TFI replacement in
-/// ascending level order.
-///
-/// The node itself, its fanins (for the replacement slot), and the constant
-/// node are excluded from the replacement pool. Returns an empty list for
-/// inputs and the constant.
-///
-/// Convenience wrapper over [`select_divisor_sets_with`] that recomputes
-/// levels and walks the full TFI cone; per-iteration callers (the flow)
-/// should hoist both.
-pub fn select_divisor_sets(aig: &Aig, node: NodeId, config: &DivisorConfig) -> Vec<Vec<NodeId>> {
-    select_divisor_sets_with(aig, node, &aig.levels(), None, config)
+/// One divisor set: one to three distinct nodes, ascending. Dereferences
+/// to the node slice.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct DivisorSet {
+    /// The nodes, ascending, in the first `len` slots.
+    nodes: [NodeId; 3],
+    len: usize,
 }
 
-/// [`select_divisor_sets`] with hoisted structural data: `levels` is the
-/// per-node logic-level slice (e.g. [`alsrac_aig::FanoutMap::levels`]) and
-/// `window`, when present, restricts the replacement pool to the window's
-/// TFI-side nodes ([`Window::tfi_nodes`]) instead of the full TFI cone.
-pub fn select_divisor_sets_with(
+impl DivisorSet {
+    fn sorted(members: &[NodeId]) -> DivisorSet {
+        let mut nodes = [NodeId::CONST; 3];
+        nodes[..members.len()].copy_from_slice(members);
+        nodes[..members.len()].sort_unstable();
+        DivisorSet {
+            nodes,
+            len: members.len(),
+        }
+    }
+}
+
+impl Deref for DivisorSet {
+    type Target = [NodeId];
+
+    fn deref(&self) -> &[NodeId] {
+        &self.nodes[..self.len]
+    }
+}
+
+/// Streams the candidate divisor sets of `node` in Algorithm 1's order: per
+/// removed fanin, first the bare removal, then each replacement in
+/// ascending `(level, index)` order; then, with
+/// [`DivisorConfig::include_extensions`], the fanin pair plus each pool
+/// node. At most [`DivisorConfig::max_sets`] sets are yielded.
+///
+/// `pool` is a reused buffer. `levels` is the per-node logic-level slice
+/// (e.g. [`alsrac_aig::FanoutMap::levels`]) and `candidates` the
+/// replacement candidates in any order — the node's TFI, whole or bounded
+/// (see [`WindowExtractor::tfi_members`]). The node, its fanins and the
+/// constant are dropped from them. Inputs, the constant, and AND nodes
+/// whose two fanins share a node have no sets.
+pub(crate) fn divisor_sets<'a>(
+    pool: &'a mut Vec<NodeId>,
     aig: &Aig,
     node: NodeId,
     levels: &[u32],
-    window: Option<&Window>,
+    candidates: &[NodeId],
     config: &DivisorConfig,
-) -> Vec<Vec<NodeId>> {
-    let Node::And { f0, f1 } = *aig.node(node) else {
-        return Vec::new();
+) -> impl Iterator<Item = DivisorSet> + 'a {
+    pool.clear();
+    let (fanins, end) = match *aig.node(node) {
+        Node::And { f0, f1 } if f0.node() != f1.node() => {
+            let fanins = [f0.node(), f1.node()];
+            pool.extend(
+                candidates
+                    .iter()
+                    .copied()
+                    .filter(|&n| n != node && n != NodeId::CONST && !fanins.contains(&n)),
+            );
+            let key = |n: &NodeId| (levels[n.index()], n.index());
+            let usable = config.max_sets.saturating_sub(1);
+            if pool.len() > usable {
+                if usable > 0 {
+                    pool.select_nth_unstable_by_key(usable - 1, key);
+                }
+                pool.truncate(usable);
+            }
+            pool.sort_unstable_by_key(key);
+            let extensions = if config.include_extensions {
+                pool.len()
+            } else {
+                0
+            };
+            (
+                fanins,
+                (2 * (1 + pool.len()) + extensions).min(config.max_sets),
+            )
+        }
+        _ => ([NodeId::CONST; 2], 0),
     };
-    let fanins = [f0.node(), f1.node()];
+    let pool: &'a [NodeId] = pool;
+    let [f0, f1] = fanins;
+    let per_removal = 1 + pool.len();
+    (0..end).map(move |i| {
+        if i < 2 * per_removal {
+            // Removing f0 keeps f1 (first block); removing f1 keeps f0.
+            let kept = if i < per_removal { f1 } else { f0 };
+            match i % per_removal {
+                0 => DivisorSet::sorted(&[kept]),
+                j => DivisorSet::sorted(&[kept, pool[j - 1]]),
+            }
+        } else {
+            DivisorSet::sorted(&[f0, f1, pool[i - 2 * per_removal]])
+        }
+    })
+}
 
-    // TFI candidates sorted by ascending level (Algorithm 1, line 2). The
-    // `(level, index)` key is a total order, so the pool is independent of
-    // the candidate source's own ordering.
-    let cone;
-    let candidates: &[NodeId] = match window {
-        Some(w) => w.tfi_nodes(),
-        None => {
-            cone = aig.tfi_cone(node);
-            cone.members()
-        }
-    };
-    let mut pool: Vec<NodeId> = candidates
-        .iter()
-        .copied()
-        .filter(|&n| n != node && n != NodeId::CONST && !fanins.contains(&n))
-        .collect();
-    pool.sort_by_key(|n| (levels[n.index()], n.index()));
-
-    let mut sets: Vec<Vec<NodeId>> = Vec::new();
-    for &removed in &fanins {
-        let kept: Vec<NodeId> = fanins.iter().copied().filter(|&n| n != removed).collect();
-        if kept.is_empty() || kept.len() == fanins.len() {
-            continue; // duplicated fanin node: removal degenerates
-        }
-        // Removal set (Algorithm 1, lines 5-6).
-        if sets.len() >= config.max_sets {
-            return sets;
-        }
-        if !sets.contains(&kept) {
-            sets.push(kept.clone());
-        }
-        // Replacement sets (lines 7-9).
-        for &u in &pool {
-            if sets.len() >= config.max_sets {
-                return sets;
-            }
-            let mut set = kept.clone();
-            if set.contains(&u) {
-                continue;
-            }
-            set.push(u);
-            set.sort_unstable();
-            if !sets.contains(&set) {
-                sets.push(set);
-            }
-        }
-    }
-    if config.include_extensions {
-        for &u in &pool {
-            if sets.len() >= config.max_sets {
-                break;
-            }
-            let mut set = fanins.to_vec();
-            set.push(u);
-            set.sort_unstable();
-            set.dedup();
-            if set.len() == 3 && !sets.contains(&set) {
-                sets.push(set);
-            }
-        }
-    }
-    sets
+/// Computes all candidate divisor sets for `node` from its whole TFI cone,
+/// in Algorithm 1's order: per removed fanin, first the bare removal, then
+/// each replacement in ascending `(level, index)` order; then, with
+/// [`DivisorConfig::include_extensions`], the fanin pair plus each TFI
+/// node. At most [`DivisorConfig::max_sets`] sets are returned; inputs,
+/// the constant, and AND nodes whose two fanins share a node have none.
+///
+/// Collects the same stream LAC generation reads lazily, recomputing
+/// levels; for one-off callers.
+pub fn select_divisor_sets(aig: &Aig, node: NodeId, config: &DivisorConfig) -> Vec<Vec<NodeId>> {
+    let levels = aig.levels();
+    let mut extractor = WindowExtractor::new();
+    let candidates = extractor.tfi_members(aig, node, 0);
+    divisor_sets(&mut Vec::new(), aig, node, &levels, candidates, config)
+        .map(|set| set.to_vec())
+        .collect()
 }
 
 #[cfg(test)]
@@ -159,6 +190,73 @@ mod tests {
             v.node(),
             vec![a.node(), b.node(), c.node(), d.node(), ab.node(), cd.node()],
         )
+    }
+
+    /// Algorithm 1 spelled out: fully sorted pool, explicit loops.
+    fn reference(aig: &Aig, node: NodeId, config: &DivisorConfig) -> Vec<Vec<NodeId>> {
+        let Node::And { f0, f1 } = *aig.node(node) else {
+            return Vec::new();
+        };
+        let fanins = [f0.node(), f1.node()];
+        if fanins[0] == fanins[1] {
+            return Vec::new();
+        }
+        let levels = aig.levels();
+        let mut pool: Vec<NodeId> = aig
+            .tfi_cone(node)
+            .members()
+            .iter()
+            .copied()
+            .filter(|&n| n != node && n != NodeId::CONST && !fanins.contains(&n))
+            .collect();
+        pool.sort_by_key(|n| (levels[n.index()], n.index()));
+        let mut sets = Vec::new();
+        for kept in [fanins[1], fanins[0]] {
+            sets.push(vec![kept]);
+            for &u in &pool {
+                let mut set = vec![kept, u];
+                set.sort_unstable();
+                sets.push(set);
+            }
+        }
+        if config.include_extensions {
+            for &u in &pool {
+                let mut set = vec![fanins[0], fanins[1], u];
+                set.sort_unstable();
+                sets.push(set);
+            }
+        }
+        sets.truncate(config.max_sets);
+        sets
+    }
+
+    #[test]
+    fn stream_matches_the_fully_sorted_reference() {
+        use alsrac_circuits::random_logic::{random_network, RandomNetworkConfig};
+        for seed in 1..4 {
+            let aig = random_network(&RandomNetworkConfig {
+                num_inputs: 8,
+                num_outputs: 4,
+                num_gates: 120,
+                locality: 16,
+                seed,
+            });
+            for max_sets in [0, 1, 2, 3, 10, 64, 10_000] {
+                for include_extensions in [false, true] {
+                    let config = DivisorConfig {
+                        max_sets,
+                        include_extensions,
+                    };
+                    for id in aig.iter_nodes() {
+                        assert_eq!(
+                            select_divisor_sets(&aig, id, &config),
+                            reference(&aig, id, &config),
+                            "seed {seed}, node {id}, {config:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -227,20 +325,25 @@ mod tests {
 
     #[test]
     fn full_window_pool_matches_whole_circuit_pool() {
-        use alsrac_aig::{WindowExtractor, WindowParams};
+        use alsrac_aig::WindowParams;
         let (aig, v, _) = sample();
         let fanouts = aig.fanout_map();
         let mut ex = WindowExtractor::new();
+        let mut pool = Vec::new();
+        let config = DivisorConfig::default();
         for id in aig.iter_ands() {
             let w = ex.extract(&aig, &fanouts, id, &WindowParams::default());
-            let windowed = select_divisor_sets_with(
+            let windowed: Vec<Vec<NodeId>> = divisor_sets(
+                &mut pool,
                 &aig,
                 id,
                 fanouts.levels(),
-                Some(&w),
-                &DivisorConfig::default(),
-            );
-            let plain = select_divisor_sets(&aig, id, &DivisorConfig::default());
+                w.tfi_nodes(),
+                &config,
+            )
+            .map(|s| s.to_vec())
+            .collect();
+            let plain = select_divisor_sets(&aig, id, &config);
             assert_eq!(windowed, plain, "node {id}");
         }
         // A truncated window shrinks the pool but stays well-formed.
@@ -253,15 +356,8 @@ mod tests {
                 tfo_depth: 0,
             },
         );
-        let truncated = select_divisor_sets_with(
-            &aig,
-            v,
-            fanouts.levels(),
-            Some(&w),
-            &DivisorConfig::default(),
-        );
-        for set in &truncated {
-            for n in set {
+        for set in divisor_sets(&mut pool, &aig, v, fanouts.levels(), w.tfi_nodes(), &config) {
+            for n in set.iter() {
                 assert!(w.contains(*n) || aig.and_fanins(v).iter().any(|f| f.node() == *n));
             }
         }

@@ -13,7 +13,7 @@ use alsrac_sim::{PatternBuffer, Signatures, SimDelta, Simulation};
 use alsrac_truthtable::{factored_aig_cost, isop, minimize, sop_to_aig, Sop};
 
 use crate::care::ApproximateCareSet;
-use crate::divisors::{select_divisor_sets_with, DivisorConfig};
+use crate::divisors::{divisor_sets, DivisorConfig};
 use crate::window::{provably_infeasible, WindowConfig};
 
 /// One candidate local approximate change.
@@ -164,16 +164,24 @@ pub fn generate_lacs(
 /// [`generate_lacs`] with explicit windowing control (the flow's entry
 /// point; plain `generate_lacs` runs with windowing off).
 ///
-/// With windowing enabled, each pivot's divisor pool comes from a bounded
-/// [`alsrac_aig::Window`] instead of its full TFI cone, and divisor sets
-/// that the signature classes *prove* infeasible are skipped without
-/// harvesting. The pre-screen is exact (see
-/// [`provably_infeasible`]), and a window bound covering a pivot's whole
-/// TFI leaves its pool unchanged, so on circuits inside the bound the
-/// windowed LAC list is bit-identical to the unwindowed one.
+/// Each pivot's divisor pool comes from its TFI walk
+/// ([`WindowExtractor::tfi_members`]): bounded by
+/// [`WindowConfig::max_tfi`] with windowing on, the whole cone with it
+/// off. With windowing on, divisor sets that the signature classes
+/// *prove* infeasible are also skipped without harvesting. The
+/// pre-screen is exact (see [`provably_infeasible`]), and a bound
+/// covering a pivot's whole TFI leaves its pool unchanged, so on circuits
+/// inside the bound the windowed LAC list is bit-identical to the
+/// unwindowed one.
 ///
-/// Emits `window_extracted` / `window_nodes` /
-/// `divisors_filtered_by_signature` trace counters when windowing is on.
+/// Divisor sets are streamed and the stream stops at the pivot's
+/// `lac_limit`; the pivot's MFFC is computed only once a set passes the
+/// harvest.
+///
+/// Emits the `divisor_sets_harvested` and `isop_calls` trace counters,
+/// plus `window_extracted` / `window_nodes` /
+/// `divisors_filtered_by_signature` when windowing is on, each once per
+/// call.
 pub fn generate_lacs_with(
     aig: &Aig,
     sim: &Simulation,
@@ -188,52 +196,74 @@ pub fn generate_lacs_with(
     let signatures = window
         .enabled
         .then(|| Signatures::build(aig, sim, patterns));
-    let params = window.params();
+    let max_tfi = if window.enabled { window.max_tfi } else { 0 };
     let mut extractor = WindowExtractor::new();
+    let mut pool = Vec::new();
     let mut mffc_scratch = MffcScratch::new();
+    // Work counters, summed here and added to the trace once per call
+    // (each `trace::add` takes a lock).
+    let (mut window_extracted, mut window_nodes, mut filtered) = (0u64, 0u64, 0u64);
+    let (mut harvested, mut isop_calls) = (0u64, 0u64);
 
     let mut lacs = Vec::new();
     for node in aig.iter_ands() {
-        let mffc_size = aig.mffc_with(node, fanouts, &mut mffc_scratch).len();
-        let extracted = signatures.is_some().then(|| {
-            let w = extractor.extract(aig, fanouts, node, &params);
-            alsrac_rt::trace::add("window_extracted", 1);
-            alsrac_rt::trace::add("window_nodes", w.num_nodes() as u64);
-            w
-        });
-        let sets =
-            select_divisor_sets_with(aig, node, levels, extracted.as_ref(), &config.divisors);
-        let mut count = 0usize;
-        for divisors in sets {
-            if count >= config.lac_limit {
+        let tfi = extractor.tfi_members(aig, node, max_tfi);
+        if signatures.is_some() {
+            window_extracted += 1;
+            window_nodes += tfi.len() as u64;
+        }
+        let mut mffc_size = None;
+        let mut found = 0usize;
+        let sets = divisor_sets(&mut pool, aig, node, levels, tfi, &config.divisors);
+        for set in sets {
+            if found >= config.lac_limit {
                 break;
             }
             if let Some(sigs) = &signatures {
-                if provably_infeasible(sigs, node, &divisors) {
+                if provably_infeasible(sigs, node, &set) {
                     // Exactly the sets harvest would reject: skipping them
-                    // keeps the LAC list bit-identical while saving the
-                    // per-pattern harvest walk.
-                    alsrac_rt::trace::add("divisors_filtered_by_signature", 1);
+                    // keeps the LAC list bit-identical.
+                    filtered += 1;
                     continue;
                 }
             }
-            let divisors: Vec<Lit> = divisors.iter().map(|&d| d.lit()).collect();
-            let Some(care) = ApproximateCareSet::harvest(sim, patterns, node.lit(), &divisors)
+            let mut lits = [Lit::FALSE; 3];
+            for (lit, d) in lits.iter_mut().zip(set.iter()) {
+                *lit = d.lit();
+            }
+            let divisors = &lits[..set.len()];
+            harvested += 1;
+            let Some(care) = ApproximateCareSet::harvest(sim, patterns, node.lit(), divisors)
             else {
                 continue; // infeasible divisor set
             };
+            isop_calls += 1;
             let on = care.on_set();
             let upper = on.or(&care.dont_care_set());
             let cover = minimize(&isop(on, &upper), on, &care.dont_care_set());
             let est_cost = factored_aig_cost(&cover, divisors.len());
+            let est_saved = *mffc_size
+                .get_or_insert_with(|| aig.mffc_with(node, fanouts, &mut mffc_scratch).len());
             lacs.push(Lac {
                 node: node.lit(),
-                divisors,
+                divisors: divisors.to_vec(),
                 cover,
                 est_cost,
-                est_saved: mffc_size,
+                est_saved,
             });
-            count += 1;
+            found += 1;
+        }
+    }
+    for (name, value) in [
+        ("window_extracted", window_extracted),
+        ("window_nodes", window_nodes),
+        ("divisors_filtered_by_signature", filtered),
+        ("divisor_sets_harvested", harvested),
+        ("isop_calls", isop_calls),
+    ] {
+        // A counter with no events stays out of the trace totals.
+        if value > 0 {
+            alsrac_rt::trace::add(name, value);
         }
     }
     lacs

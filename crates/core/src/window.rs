@@ -2,9 +2,10 @@
 //! feasibility pre-screen.
 //!
 //! Windowing bounds the per-pivot work of LAC generation: instead of
-//! walking the pivot's whole transitive fanin for divisor candidates, a
-//! [`alsrac_aig::Window`] of at most [`WindowConfig::max_tfi`] nodes is
-//! extracted and the divisor pool is drawn from it. On circuits whose TFI
+//! walking the pivot's whole transitive fanin for divisor candidates, the
+//! walk stops expanding after [`WindowConfig::max_tfi`] nodes
+//! ([`alsrac_aig::WindowExtractor::tfi_members`]) and the divisor pool is
+//! drawn from what it collected. On circuits whose TFI
 //! cones fit inside the bound the pool — and therefore the whole flow — is
 //! bit-identical to the unwindowed path; on larger circuits the bound is
 //! what keeps LAC generation near-linear.
@@ -27,21 +28,19 @@
 //! * With **two or more** classes the certificate is silent (returns
 //!   `false`) and the harvest runs as before.
 
-use alsrac_aig::{NodeId, WindowParams};
+use alsrac_aig::NodeId;
 use alsrac_sim::Signatures;
 
 /// Windowing knobs threaded through [`crate::flow::FlowConfig`].
 #[derive(Clone, Debug)]
 pub struct WindowConfig {
-    /// Master switch. `false` reproduces the pre-windowing code path
-    /// exactly (whole-TFI divisor pools, no signature pre-screen).
+    /// Master switch. `false` draws divisor pools from whole TFI cones
+    /// (the same walk with no size bound) and skips the signature
+    /// pre-screen.
     pub enabled: bool,
     /// Maximum TFI-side window size in nodes (`0` = unbounded). Bounds at
     /// or above a pivot's TFI size leave the divisor pool unchanged.
     pub max_tfi: usize,
-    /// Fanout levels included above the pivot. Divisor selection only uses
-    /// the TFI side, so the flow default is 0.
-    pub tfo_depth: u32,
 }
 
 impl Default for WindowConfig {
@@ -49,7 +48,6 @@ impl Default for WindowConfig {
         WindowConfig {
             enabled: true,
             max_tfi: 1000,
-            tfo_depth: 0,
         }
     }
 }
@@ -61,14 +59,6 @@ impl WindowConfig {
         WindowConfig {
             enabled: false,
             ..WindowConfig::default()
-        }
-    }
-
-    /// The extraction parameters for [`alsrac_aig::WindowExtractor`].
-    pub fn params(&self) -> WindowParams {
-        WindowParams {
-            max_tfi: self.max_tfi,
-            tfo_depth: self.tfo_depth,
         }
     }
 }
@@ -181,8 +171,6 @@ mod tests {
     fn disabled_config_reports_disabled() {
         let config = WindowConfig::disabled();
         assert!(!config.enabled);
-        let params = WindowConfig::default().params();
-        assert_eq!(params.max_tfi, 1000);
-        assert_eq!(params.tfo_depth, 0);
+        assert_eq!(WindowConfig::default().max_tfi, 1000);
     }
 }
