@@ -1,7 +1,8 @@
 //! Micro-benchmarks for the performance-critical kernels: bit-parallel
 //! simulation, ISOP computation, cut enumeration, care-set harvesting,
-//! flip-influence / batch error estimation, the traditional optimizer, and
-//! both technology mappers.
+//! flip-influence / batch error estimation, the traditional optimizer,
+//! both technology mappers, and the WCE accept gate (a SAT proof and a
+//! counterexample-bank refutation).
 //!
 //! Runs on the `alsrac-rt` timer: `cargo bench -p alsrac-bench` takes full
 //! timed samples; any other invocation (e.g. `cargo test`, which executes
@@ -10,12 +11,15 @@
 use std::hint::black_box;
 
 use alsrac::care::ApproximateCareSet;
+use alsrac::certify::{WceAcceptGate, WceGate};
 use alsrac::estimate::Estimator;
 use alsrac::lac::{generate_lacs, LacConfig};
+use alsrac_aig::{Aig, Lit};
 use alsrac_circuits::arith;
 use alsrac_map::cell::{map_cells, Library};
 use alsrac_map::lut::map_luts;
 use alsrac_rt::bench::Runner;
+use alsrac_rt::budget::Budget;
 use alsrac_sim::{FlipInfluence, PatternBuffer, Simulation};
 use alsrac_truthtable::{isop, Tt};
 
@@ -117,6 +121,36 @@ fn bench_mappers(runner: &mut Runner) {
     });
 }
 
+/// `original` with output `position` flipped where the first `cube`
+/// inputs are all 1: an error distance of exactly `2^position` there.
+fn flipped_output(original: &Aig, position: usize, cube: usize) -> Aig {
+    let mut approx = original.clone();
+    let lits: Vec<Lit> = approx.inputs()[..cube].iter().map(|id| id.lit()).collect();
+    let gate = approx.and_all(&lits);
+    let flipped = approx.xor(approx.output_lits()[position], gate);
+    approx.set_output_lit(position, flipped);
+    approx
+}
+
+fn bench_wce_gate(runner: &mut Runner) {
+    let original = arith::ripple_carry_adder(32);
+    let budget = Budget::unlimited();
+    // Distance 8 <= 64 on 2^54 inputs: the gate needs a full UNSAT proof.
+    let within = flipped_output(&original, 3, 10);
+    runner.bench("WCE gate UNSAT proof rca32", || {
+        let mut gate = WceAcceptGate::new(&original, 64);
+        assert_eq!(gate.check(black_box(&within), &budget), WceGate::Within);
+    });
+    // Distance 2^20 > 64: the first check banks a SAT witness, which then
+    // refutes the same candidate with one simulation and no miter.
+    let exceeds = flipped_output(&original, 20, 10);
+    let mut gate = WceAcceptGate::new(&original, 64);
+    assert_eq!(gate.check(&exceeds, &budget), WceGate::Exceeds);
+    runner.bench("WCE gate bank-refuted candidate rca32", || {
+        assert_eq!(gate.check(black_box(&exceeds), &budget), WceGate::Exceeds);
+    });
+}
+
 fn main() {
     let mut runner = Runner::from_args();
     bench_simulation(&mut runner);
@@ -127,5 +161,6 @@ fn main() {
     bench_batch_estimation(&mut runner);
     bench_optimizer(&mut runner);
     bench_mappers(&mut runner);
+    bench_wce_gate(&mut runner);
     runner.finish();
 }

@@ -189,6 +189,10 @@ fn main() {
         .arr("wce", wce)
         .finish();
     std::fs::write(&path, json + "\n").expect("write benchmark JSON");
+    // Close the record stream with the counter totals, so a validated
+    // trace also schema-checks every cert_* counter the run touched.
+    trace::emit_totals();
+    trace::flush();
     let (_, counters) = trace::snapshot();
     let queries = counters
         .iter()

@@ -52,14 +52,7 @@ fn resolver() -> Box<serve::Resolver> {
                 "paper" => Scale::Paper,
                 _ => Scale::Test,
             };
-            catalog::by_name(name, scale)
-                .or_else(|| {
-                    catalog::scale_benchmarks()
-                        .into_iter()
-                        .find(|b| b.paper_name == *name)
-                        .map(|b| b.aig)
-                })
-                .ok_or_else(|| format!("unknown benchmark {name:?}"))
+            catalog::by_name(name, scale).ok_or_else(|| format!("unknown benchmark {name:?}"))
         }
         CircuitSource::Blif(text) => blif::parse(text).map_err(|e| e.to_string()),
         CircuitSource::Aag(text) => aiger::parse_ascii(text).map_err(|e| e.to_string()),

@@ -114,6 +114,7 @@ const KNOWN_COUNTERS: &[&str] = &[
     "cert_sat_queries",
     "cert_wce_searches",
     "cert_candidate_rejects",
+    "cert_bank_rejects",
     "cert_degraded",
     "flow_interrupts",
     "checkpoints_written",
@@ -485,7 +486,9 @@ struct RunDigest {
     flow: String,
     circuit: String,
     start_ands: u64,
-    end_ands: u64,
+    /// `run_end.ands`; `None` while the trace holds no `run_end` for the
+    /// run (cut short before the flow returned).
+    end_ands: Option<u64>,
     iterations: u64,
     applied: u64,
     wall_ns: u64,
@@ -500,6 +503,48 @@ struct RunDigest {
     resumed_from: Option<u64>,
     /// Whether the run's certificate was degraded by budget exhaustion.
     degraded_cert: bool,
+}
+
+/// One line of the `runs:` listing. A run without a `run_end` record
+/// (its trace was cut before the flow returned) has no final AND count
+/// and reads `incomplete`.
+fn run_line(id: u64, d: &RunDigest) -> String {
+    let traj = match (d.trajectory.first(), d.trajectory.last()) {
+        (Some(first), Some(last)) => {
+            format!(
+                "est err {first:.5} -> {last:.5} over {} accepts",
+                d.trajectory.len()
+            )
+        }
+        _ => "no accepted iterations".to_string(),
+    };
+    let mut notes = String::new();
+    if let Some(from) = d.resumed_from {
+        notes.push_str(&format!("; resumed from iteration {from}"));
+    }
+    if d.outcome.as_deref() == Some("interrupted") {
+        notes.push_str(&format!(
+            "; INTERRUPTED ({})",
+            d.interrupt_reason.as_deref().unwrap_or("unknown reason")
+        ));
+    }
+    if d.degraded_cert {
+        notes.push_str("; degraded certificate");
+    }
+    format!(
+        "  run {id}: {} {} ands {} -> {} ({} iters, {} applied, {}), {}; measured ER {}{notes}",
+        d.flow,
+        d.circuit,
+        d.start_ands,
+        d.end_ands
+            .map_or("incomplete".to_string(), |ands| ands.to_string()),
+        d.iterations,
+        d.applied,
+        format_ns(d.wall_ns as f64),
+        traj,
+        d.error_rate
+            .map_or("n/a".to_string(), |e| format!("{e:.6}")),
+    )
 }
 
 fn analyze(path: &str, summary_path: &str) -> ExitCode {
@@ -550,7 +595,7 @@ fn try_analyze(path: &str, summary_path: &str) -> Result<ExitCode, String> {
                 let digest = runs.entry(run).or_default();
                 digest.iterations = req_u64(rec, path, line, "iterations")?;
                 digest.applied = req_u64(rec, path, line, "applied")?;
-                digest.end_ands = req_u64(rec, path, line, "ands")?;
+                digest.end_ands = Some(req_u64(rec, path, line, "ands")?);
                 digest.wall_ns = req_u64(rec, path, line, "wall_ns")?;
                 digest.error_rate = rec
                     .get("measured")
@@ -603,41 +648,7 @@ fn try_analyze(path: &str, summary_path: &str) -> Result<ExitCode, String> {
     }
     println!("\nruns:");
     for (id, d) in &runs {
-        let traj = match (d.trajectory.first(), d.trajectory.last()) {
-            (Some(first), Some(last)) => {
-                format!(
-                    "est err {first:.5} -> {last:.5} over {} accepts",
-                    d.trajectory.len()
-                )
-            }
-            _ => "no accepted iterations".to_string(),
-        };
-        let mut notes = String::new();
-        if let Some(from) = d.resumed_from {
-            notes.push_str(&format!("; resumed from iteration {from}"));
-        }
-        if d.outcome.as_deref() == Some("interrupted") {
-            notes.push_str(&format!(
-                "; INTERRUPTED ({})",
-                d.interrupt_reason.as_deref().unwrap_or("unknown reason")
-            ));
-        }
-        if d.degraded_cert {
-            notes.push_str("; degraded certificate");
-        }
-        println!(
-            "  run {id}: {} {} ands {} -> {} ({} iters, {} applied, {}), {}; measured ER {}{notes}",
-            d.flow,
-            d.circuit,
-            d.start_ands,
-            d.end_ands,
-            d.iterations,
-            d.applied,
-            format_ns(d.wall_ns as f64),
-            traj,
-            d.error_rate
-                .map_or("n/a".to_string(), |e| format!("{e:.6}")),
-        );
+        println!("{}", run_line(*id, d));
     }
     let interrupted = runs
         .values()
@@ -663,7 +674,7 @@ fn try_analyze(path: &str, summary_path: &str) -> Result<ExitCode, String> {
             .str("flow", &d.flow)
             .str("circuit", &d.circuit)
             .u64("start_ands", d.start_ands)
-            .u64("end_ands", d.end_ands)
+            .opt_u64("end_ands", d.end_ands)
             .u64("iterations", d.iterations)
             .u64("applied", d.applied)
             .u64("wall_ns", d.wall_ns)
@@ -1342,6 +1353,30 @@ mod tests {
         );
         let err = load(&t.0).expect_err("typoed counter must fail");
         assert!(err.contains("cert_sat_quries"), "wrong diagnostic: {err}");
+    }
+
+    #[test]
+    fn bank_reject_counter_is_known() {
+        let t = TempTrace::write(
+            "bank",
+            r#"{"type":"totals","spans":{},"counters":{"cert_bank_rejects":3}}"#,
+        );
+        load(&t.0).expect("cert_bank_rejects is a known counter");
+    }
+
+    #[test]
+    fn runs_without_run_end_read_incomplete() {
+        let mut d = RunDigest {
+            flow: "alsrac".to_string(),
+            circuit: "rca32".to_string(),
+            start_ands: 283,
+            ..RunDigest::default()
+        };
+        let line = run_line(1, &d);
+        assert!(line.contains("ands 283 -> incomplete"), "{line}");
+        d.end_ands = Some(202);
+        let line = run_line(1, &d);
+        assert!(line.contains("ands 283 -> 202"), "{line}");
     }
 
     #[test]

@@ -206,15 +206,29 @@ pub fn epfl_arith(scale: Scale) -> Vec<Benchmark> {
 /// range. These are not part of the paper's tables — whole-circuit
 /// resubstitution does not finish on them, which is the point.
 pub fn scale_benchmarks() -> Vec<Benchmark> {
-    vec![
-        Benchmark::new("wal32", arith::wallace_multiplier(32)),
-        Benchmark::new("mtp48", arith::array_multiplier(48)),
-        Benchmark::new("mac16x8", arith::multiply_accumulate(16, 8)),
-        Benchmark::new("mac24x16", arith::multiply_accumulate(24, 16)),
-    ]
+    SCALE_NAMES
+        .iter()
+        .map(|&name| Benchmark::new(name, scale_circuit(name).expect("listed scale circuit")))
+        .collect()
 }
 
-/// Looks up a single benchmark by its paper name across all suites.
+/// Names of the [`scale_benchmarks`] circuits, in suite order.
+const SCALE_NAMES: [&str; 4] = ["wal32", "mtp48", "mac16x8", "mac24x16"];
+
+/// Generates one [`scale_benchmarks`] circuit by name.
+fn scale_circuit(name: &str) -> Option<Aig> {
+    Some(match name {
+        "wal32" => arith::wallace_multiplier(32),
+        "mtp48" => arith::array_multiplier(48),
+        "mac16x8" => arith::multiply_accumulate(16, 8),
+        "mac24x16" => arith::multiply_accumulate(24, 16),
+        _ => return None,
+    })
+}
+
+/// Looks up a single benchmark by its paper name across all suites at
+/// `scale`, then among the [`scale_benchmarks`] (which have one size at
+/// both scales). The one named-circuit lookup of the CLI and the daemon.
 pub fn by_name(paper_name: &str, scale: Scale) -> Option<Aig> {
     iscas_and_arith(scale)
         .into_iter()
@@ -222,6 +236,7 @@ pub fn by_name(paper_name: &str, scale: Scale) -> Option<Aig> {
         .chain(epfl_arith(scale))
         .find(|b| b.paper_name == paper_name)
         .map(|b| b.aig)
+        .or_else(|| scale_circuit(paper_name))
 }
 
 #[cfg(test)]
@@ -288,6 +303,10 @@ mod tests {
         assert!(by_name("rca32", Scale::Test).is_some());
         assert!(by_name("voter", Scale::Paper).is_some());
         assert!(by_name("hyp", Scale::Paper).is_none());
+        for scale in [Scale::Test, Scale::Paper] {
+            let wal32 = by_name("wal32", scale).expect("scale circuits resolve by name");
+            assert_eq!(wal32.num_inputs(), 64);
+        }
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //! comparator clauses. Both return an
 //! [`alsrac_metrics::CertifiedMeasurement`].
 //!
-//! [`wce_within`] / [`wce_gate`] are the accept-side gate of the
-//! WCE-constrained flow: a single `distance > bound` SAT query replacing
-//! the sampled estimate in the acceptance decision.
+//! [`WceAcceptGate`] is the accept-side gate of the WCE-constrained flow:
+//! a `distance > bound` SAT query replacing the sampled estimate in the
+//! acceptance decision, skipped when a counterexample banked from an
+//! earlier query already refutes the candidate.
 //!
 //! **Budgets and degradation.** Every entry point has a `_budgeted`
 //! variant threading an [`alsrac_rt::budget::Budget`] into the solver.
@@ -24,8 +25,9 @@
 //! letting the nondeterministic answer steer any decision.
 //!
 //! Telemetry: `cert_miters_built`, `cert_sat_queries`,
-//! `cert_wce_searches`, `cert_candidate_rejects`, and `cert_degraded`
-//! counters plus a `certify` span, all inert when tracing is disabled.
+//! `cert_wce_searches`, `cert_bank_rejects`, and `cert_degraded`
+//! counters plus a `certify` span (the flow adds `cert_candidate_rejects`),
+//! all inert when tracing is disabled.
 
 use alsrac_aig::Aig;
 use alsrac_metrics::{CertStatus, CertifiedMeasurement, ErrorMetric};
@@ -34,6 +36,7 @@ use alsrac_rt::trace;
 use alsrac_sat::count;
 use alsrac_sat::miter::Miter;
 use alsrac_sat::SatResult;
+use alsrac_sim::{PatternBuffer, Simulation};
 
 /// Certifies the error rate of `approx` against `original` by model
 /// counting over the miter inputs.
@@ -146,7 +149,7 @@ pub fn certify_wce_budgeted(original: &Aig, approx: &Aig, budget: &Budget) -> Ce
     }
 }
 
-/// Outcome of the budgeted WCE accept gate ([`wce_gate`]).
+/// Outcome of the budgeted WCE accept gate ([`WceAcceptGate::check`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WceGate {
     /// Proven: max error distance ≤ bound. Safe to accept.
@@ -163,51 +166,140 @@ pub enum WceGate {
     Interrupted,
 }
 
-/// The budgeted WCE accept gate: is the maximum error distance of
-/// `approx` against `original` at most `bound`, certified by a single
-/// `distance > bound` SAT query under `budget`?
+/// The WCE accept gate of one flow: is a candidate's maximum error
+/// distance against the flow's original circuit at most `bound`?
 ///
-/// An `Unknown` solver answer is classified [`WceGate::Interrupted`]
-/// when the budget's cancel token or deadline has fired (nondeterministic
-/// cut — the caller must abort, not decide) and [`WceGate::Degraded`]
-/// otherwise (a deterministic SAT cap — the caller may fall back to its
-/// sampled estimate).
-///
-/// # Panics
-///
-/// Panics if the circuits disagree in arity or have more than 63 outputs.
-pub fn wce_gate(original: &Aig, approx: &Aig, bound: u64, budget: &Budget) -> WceGate {
-    let span = trace::span("certify");
-    let mut miter = Miter::new(original, approx);
-    miter.solver.set_budget(budget.clone());
-    trace::add("cert_miters_built", 1);
-    trace::add("cert_sat_queries", 1);
-    let gate = match miter.distance_exceeds(bound) {
-        SatResult::Unsat => WceGate::Within,
-        SatResult::Sat => WceGate::Exceeds,
-        SatResult::Unknown => {
-            if budget.interrupted().is_some() {
-                WceGate::Interrupted
-            } else {
-                trace::add("cert_degraded", 1);
-                WceGate::Degraded
-            }
-        }
-    };
-    span.finish();
-    gate
+/// Each undecided candidate costs one `distance > bound` SAT query on a
+/// fresh miter. Every `Sat` answer comes with a witness input, which the
+/// gate keeps in a *counterexample bank* (word-packed, with the original
+/// circuit's output value on it simulated once). A later candidate is
+/// first simulated on the bank: any banked input whose error distance
+/// exceeds the bound refutes it outright, with no miter built. A concrete
+/// input is a proof, so under an unlimited budget the bank changes no
+/// decision, only its cost. Under a SAT cap it can: a banked witness
+/// turns what would have been a capped ([`WceGate::Degraded`]) query
+/// into a proven reject.
+pub struct WceAcceptGate<'a> {
+    original: &'a Aig,
+    bound: u64,
+    /// Every SAT witness so far, in the order found.
+    witnesses: Vec<Vec<bool>>,
+    /// `witnesses`, word-packed.
+    bank: PatternBuffer,
+    /// The original circuit's output value on each witness.
+    reference: Vec<u64>,
 }
 
-/// The WCE accept gate: is the maximum error distance of `approx` against
-/// `original` at most `bound`, certified by a single SAT query?
-///
-/// Unlimited-budget form of [`wce_gate`]; never degrades.
-///
-/// # Panics
-///
-/// Panics if the circuits disagree in arity or have more than 63 outputs.
-pub fn wce_within(original: &Aig, approx: &Aig, bound: u64) -> bool {
-    wce_gate(original, approx, bound, &Budget::unlimited()) == WceGate::Within
+impl<'a> WceAcceptGate<'a> {
+    /// A gate with an empty bank.
+    pub fn new(original: &'a Aig, bound: u64) -> WceAcceptGate<'a> {
+        WceAcceptGate::with_bank(original, bound, Vec::new())
+    }
+
+    /// A gate whose bank starts with `witnesses` (as returned by
+    /// [`Self::witnesses`], e.g. from a checkpoint).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a witness's length differs from the input count.
+    pub fn with_bank(
+        original: &'a Aig,
+        bound: u64,
+        witnesses: Vec<Vec<bool>>,
+    ) -> WceAcceptGate<'a> {
+        let reference = witnesses
+            .iter()
+            .map(|w| output_value(original, w))
+            .collect();
+        WceAcceptGate {
+            original,
+            bound,
+            bank: PatternBuffer::from_rows(original.num_inputs(), &witnesses),
+            witnesses,
+            reference,
+        }
+    }
+
+    /// The banked witnesses, oldest first.
+    pub fn witnesses(&self) -> &[Vec<bool>] {
+        &self.witnesses
+    }
+
+    /// Decides `candidate` under `budget`: refuted by a banked witness, or
+    /// else by one `distance > bound` SAT query.
+    ///
+    /// An `Unknown` solver answer is classified [`WceGate::Interrupted`]
+    /// when the budget's cancel token or deadline has fired
+    /// (nondeterministic cut — the caller must abort, not decide) and
+    /// [`WceGate::Degraded`] otherwise (a deterministic SAT cap — the
+    /// caller may fall back to its sampled estimate).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the circuits disagree in arity or have more than 63
+    /// outputs.
+    pub fn check(&mut self, candidate: &Aig, budget: &Budget) -> WceGate {
+        let span = trace::span("certify");
+        let gate = if self.bank_refutes(candidate) {
+            trace::add("cert_bank_rejects", 1);
+            WceGate::Exceeds
+        } else {
+            let mut miter = Miter::new(self.original, candidate);
+            miter.solver.set_budget(budget.clone());
+            trace::add("cert_miters_built", 1);
+            trace::add("cert_sat_queries", 1);
+            match miter.distance_exceeds(self.bound) {
+                SatResult::Unsat => WceGate::Within,
+                SatResult::Sat => {
+                    let witness = miter.witness_inputs().expect("Sat leaves a witness");
+                    self.bank_witness(witness.to_vec());
+                    debug_assert!(self.bank_refutes(candidate), "witness must refute");
+                    WceGate::Exceeds
+                }
+                SatResult::Unknown => {
+                    if budget.interrupted().is_some() {
+                        WceGate::Interrupted
+                    } else {
+                        trace::add("cert_degraded", 1);
+                        WceGate::Degraded
+                    }
+                }
+            }
+        };
+        span.finish();
+        gate
+    }
+
+    fn bank_witness(&mut self, witness: Vec<bool>) {
+        self.reference.push(output_value(self.original, &witness));
+        self.witnesses.push(witness);
+        self.bank = PatternBuffer::from_rows(self.original.num_inputs(), &self.witnesses);
+    }
+
+    /// Whether some banked input drives `candidate` more than `bound` away
+    /// from the original circuit.
+    fn bank_refutes(&self, candidate: &Aig) -> bool {
+        if self.witnesses.is_empty() {
+            return false;
+        }
+        let sim = Simulation::new_untraced(candidate, &self.bank);
+        let outputs = candidate.outputs();
+        self.reference.iter().enumerate().any(|(p, &reference)| {
+            let value = outputs.iter().enumerate().fold(0u64, |value, (i, out)| {
+                value | u64::from(sim.lit_bit(out.lit, p)) << i
+            });
+            value.abs_diff(reference) > self.bound
+        })
+    }
+}
+
+/// The outputs of `aig` on `inputs` as an unsigned little-endian integer
+/// (output `i` contributes `2^i`, as in `alsrac-metrics`).
+fn output_value(aig: &Aig, inputs: &[bool]) -> u64 {
+    aig.evaluate(inputs)
+        .iter()
+        .enumerate()
+        .fold(0u64, |value, (i, &bit)| value | u64::from(bit) << i)
 }
 
 #[cfg(test)]
@@ -227,6 +319,15 @@ mod tests {
         let flipped = approx.xor(approx.output_lits()[position], gate);
         approx.set_output_lit(position, flipped);
         approx
+    }
+
+    /// A one-query gate: the unlimited-budget decision on an empty bank.
+    fn wce_within(original: &Aig, approx: &Aig, bound: u64) -> bool {
+        WceAcceptGate::new(original, bound).check(approx, &Budget::unlimited()) == WceGate::Within
+    }
+
+    fn wce_gate(original: &Aig, approx: &Aig, bound: u64, budget: &Budget) -> WceGate {
+        WceAcceptGate::new(original, bound).check(approx, budget)
     }
 
     fn bundled(scale: Scale) -> impl Iterator<Item = Benchmark> {

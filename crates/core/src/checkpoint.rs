@@ -4,7 +4,8 @@
 //! When a [`crate::flow::run`] is interrupted (cancel token, deadline),
 //! it returns a [`Checkpoint`] capturing everything the loop needs to
 //! continue: the current circuit, the adaptive-round state, the accepted
-//! history, and the iteration counter. Nothing else is required — every
+//! history, the iteration counter, and (WCE runs) the accept gate's
+//! counterexample bank. Nothing else is required — every
 //! random decision of the flow is a pure function of `(seed, stream,
 //! iteration)` via [`alsrac_rt::derive_indexed`], so "RNG position" *is*
 //! the iteration counter, and the carried incremental simulation is
@@ -63,6 +64,12 @@ pub struct Checkpoint {
     pub history: Vec<IterationRecord>,
     /// The circuit as of the last completed iteration.
     pub current: Aig,
+    /// The WCE accept gate's counterexample bank
+    /// ([`crate::certify::WceAcceptGate::witnesses`]), oldest first; empty
+    /// for other metrics. Without it a resumed SAT-capped run could accept
+    /// on a degraded query a candidate that the uninterrupted run rejects
+    /// on a banked witness.
+    pub wce_bank: Vec<Vec<bool>>,
 }
 
 impl Checkpoint {
@@ -78,7 +85,7 @@ impl Checkpoint {
                     .u64("rounds", rec.rounds as u64),
             );
         }
-        Obj::new()
+        let obj = Obj::new()
             .str("type", "alsrac_checkpoint")
             .u64("version", CHECKPOINT_VERSION)
             .str("seed", &format!("{:016x}", self.seed))
@@ -91,8 +98,18 @@ impl Checkpoint {
             .u64("over_streak", self.over_streak as u64)
             .u64("stuck_streak", self.stuck_streak as u64)
             .arr("history", history)
-            .obj("aig", aig_to_obj(&self.current))
-            .finish()
+            .obj("aig", aig_to_obj(&self.current));
+        // Omitted when empty, so checkpoints of runs that never bank a
+        // witness (every non-WCE run) keep their exact earlier encoding.
+        if self.wce_bank.is_empty() {
+            return obj.finish();
+        }
+        let mut bank = Arr::new();
+        for witness in &self.wce_bank {
+            let bits: String = witness.iter().map(|&b| if b { '1' } else { '0' }).collect();
+            bank = bank.str(&bits);
+        }
+        obj.arr("wce_bank", bank).finish()
     }
 
     /// Parses and validates a checkpoint serialized by [`Checkpoint::to_json`].
@@ -171,6 +188,37 @@ fn parse_impl(text: &str) -> Result<Checkpoint, String> {
     }
 
     let current = aig_from_json(v.get("aig").ok_or("missing aig")?)?;
+    // Absent in checkpoints without a bank, including ones written before
+    // the field existed.
+    let mut wce_bank = Vec::new();
+    for (i, witness) in v
+        .get("wce_bank")
+        .map(|bank| bank.as_arr().ok_or("wce_bank is not an array"))
+        .transpose()?
+        .unwrap_or_default()
+        .iter()
+        .enumerate()
+    {
+        let bits = witness
+            .as_str()
+            .ok_or_else(|| format!("wce_bank[{i}] is not a string"))?;
+        if bits.len() != current.num_inputs() {
+            return Err(format!(
+                "wce_bank[{i}] has {} bits, the circuit {} inputs",
+                bits.len(),
+                current.num_inputs()
+            ));
+        }
+        wce_bank.push(
+            bits.chars()
+                .map(|c| match c {
+                    '0' => Ok(false),
+                    '1' => Ok(true),
+                    other => Err(format!("wce_bank[{i}]: bad bit {other:?}")),
+                })
+                .collect::<Result<Vec<bool>, String>>()?,
+        );
+    }
     Ok(Checkpoint {
         seed,
         metric,
@@ -183,6 +231,7 @@ fn parse_impl(text: &str) -> Result<Checkpoint, String> {
         stuck_streak,
         history,
         current,
+        wce_bank,
     })
 }
 
@@ -351,6 +400,7 @@ mod tests {
                 },
             ],
             current: alsrac_circuits::arith::ripple_carry_adder(3).cleaned(),
+            wce_bank: Vec::new(),
         }
     }
 
@@ -391,6 +441,37 @@ mod tests {
         // And the text itself is stable: serialize → parse → serialize is
         // the identity.
         assert_eq!(back.to_json(), text);
+    }
+
+    #[test]
+    fn wce_bank_round_trips_and_is_omitted_when_empty() {
+        let empty = sample().to_json();
+        assert!(!empty.contains("wce_bank"), "an empty bank is omitted");
+        assert!(Checkpoint::parse(&empty)
+            .expect("parse")
+            .wce_bank
+            .is_empty());
+
+        let mut cp = sample();
+        cp.metric = ErrorMetric::Wce;
+        cp.wce_bank = vec![vec![true, false, true, true, false, false], vec![false; 6]];
+        let text = cp.to_json();
+        assert!(
+            text.contains("\"wce_bank\":[\"101100\",\"000000\"]"),
+            "{text}"
+        );
+        let back = Checkpoint::parse(&text).expect("parse");
+        assert_eq!(back.wce_bank, cp.wce_bank);
+        assert_eq!(back.to_json(), text);
+
+        for (label, bad) in [
+            ("short witness", text.replace("\"101100\"", "\"10110\"")),
+            ("bad bit", text.replace("\"101100\"", "\"10x100\"")),
+            ("not an array", text.replace("[\"101100\",\"000000\"]", "7")),
+        ] {
+            let err = Checkpoint::parse(&bad).expect_err(label);
+            assert!(matches!(err, FlowError::Checkpoint { .. }), "{label}");
+        }
     }
 
     #[test]

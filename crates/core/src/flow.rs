@@ -7,7 +7,7 @@ use alsrac_rt::json::Obj;
 use alsrac_rt::{derive_indexed, derive_seed, trace, Stream};
 use alsrac_sim::{PatternBuffer, Simulation};
 
-use crate::certify::{self, WceGate};
+use crate::certify::{self, WceAcceptGate, WceGate};
 use crate::checkpoint::Checkpoint;
 use crate::estimate::Estimator;
 use crate::lac::{generate_lacs_with, LacConfig};
@@ -393,9 +393,10 @@ fn run_from(
     // bit-identical to the state the interrupted run carried.
     let resumed_from = checkpoint.as_ref().map(|cp| cp.iterations as u64);
     let (mut current, mut rounds, mut empty_streak, mut over_streak, mut stuck_streak);
-    let (mut applied, mut history, mut iterations);
+    let (mut applied, mut history, mut iterations, wce_bank);
     match checkpoint {
         Some(cp) => {
+            wce_bank = cp.wce_bank;
             current = cp.current;
             rounds = cp.rounds;
             empty_streak = cp.empty_streak;
@@ -414,6 +415,7 @@ fn run_from(
             applied = 0;
             history = Vec::new();
             iterations = 0;
+            wce_bank = Vec::new();
         }
     }
     let max_rounds = config.initial_rounds * 4;
@@ -469,10 +471,14 @@ fn run_from(
         .then(|| Simulation::new(original, est_patterns).output_words(original));
     let mut est_sim: Option<Simulation> = None;
     // WCE mode: the threshold is an absolute maximum error distance, and
-    // every acceptance is gated by a SAT query instead of trusting the
-    // sampled estimate (which can only *under*-estimate a maximum).
-    let wce_bound =
-        (config.metric == ErrorMetric::Wce).then(|| config.threshold.min(u64::MAX as f64) as u64);
+    // every acceptance is gated by a SAT proof instead of trusting the
+    // sampled estimate (which can only *under*-estimate a maximum). The
+    // gate's counterexample bank lives as long as the flow, checkpoints
+    // included.
+    let mut wce_gate = (config.metric == ErrorMetric::Wce).then(|| {
+        let bound = config.threshold.min(u64::MAX as f64) as u64;
+        WceAcceptGate::with_bank(original, bound, wce_bank)
+    });
 
     while iterations < config.max_iterations {
         // Iteration-granular interrupt point: the cheapest place to stop,
@@ -609,8 +615,8 @@ fn run_from(
                 // The SAT accept gate of the WCE-constrained mode: a
                 // sampled max can miss the worst-case input, so a
                 // candidate only passes if `distance > bound` is UNSAT.
-                if let Some(bound) = wce_bound {
-                    match certify::wce_gate(original, &aig, bound, &config.budget) {
+                if let Some(gate) = wce_gate.as_mut() {
+                    match gate.check(&aig, &config.budget) {
                         WceGate::Within => {}
                         WceGate::Exceeds => {
                             trace::add("cert_candidate_rejects", 1);
@@ -639,6 +645,11 @@ fn run_from(
         if let Some(cause) = gate_interrupt {
             // Same rollback as the post-lac-gen interrupt point: the
             // resumed run redoes this iteration from its own patterns.
+            // The bank keeps the witnesses this iteration added: every
+            // candidate scanned before the interrupt was rejected, each
+            // by a witness the bank now holds, so the redo rejects them
+            // again without a query and reaches the interrupted
+            // candidate with the bank the uninterrupted run had there.
             iterations -= 1;
             interrupt = Some(cause);
             break;
@@ -764,6 +775,9 @@ fn run_from(
             stuck_streak,
             history: history.clone(),
             current: current.clone(),
+            wce_bank: wce_gate
+                .as_ref()
+                .map_or_else(Vec::new, |gate| gate.witnesses().to_vec()),
         }
     });
 

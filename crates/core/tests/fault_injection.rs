@@ -8,7 +8,9 @@
 //!    untouched (fired after the last poll) or interrupts it with a
 //!    checkpoint from which `flow::resume` reproduces the uninterrupted
 //!    run bit for bit — circuit structure, history floats, measurement —
-//!    at worker-thread counts 1, 3, and 7, on two bundled circuits.
+//!    at worker-thread counts 1, 3, and 7, on two bundled circuits, and
+//!    on a SAT-capped WCE flow whose checkpoints carry the accept gate's
+//!    counterexample bank.
 //! 2. **SAT starvation degrades, never hangs.** A WCE flow whose every
 //!    SAT query is budget-starved still completes, returning a
 //!    `Degraded` certificate instead of blocking on the solver.
@@ -20,6 +22,7 @@
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
+use alsrac::checkpoint::Checkpoint;
 use alsrac::flow::{self, run, FlowConfig, FlowOutcome, FlowResult};
 use alsrac_aig::Aig;
 use alsrac_circuits::{aiger, arith};
@@ -123,25 +126,30 @@ fn span_horizon(original: &Aig, config: &FlowConfig) -> u64 {
 
 /// The core property: sweep seeded cancel-fault injection points over the
 /// whole span horizon; every interrupted run must checkpoint and resume
-/// to the uninterrupted result, bit for bit. Returns how many of the
-/// sweep's runs were actually interrupted.
-fn cancel_resume_property(name: &str, original: &Aig, fault_seeds: u64) -> u64 {
-    let reference = run(original, &er_config(Budget::unlimited())).expect("reference run");
+/// to the uninterrupted result, bit for bit. Returns the checkpoints of
+/// the sweep's interrupted runs.
+fn cancel_resume_property(
+    name: &str,
+    original: &Aig,
+    fault_seeds: u64,
+    config: impl Fn(Budget) -> FlowConfig,
+) -> Vec<Checkpoint> {
+    let reference = run(original, &config(Budget::unlimited())).expect("reference run");
     assert_eq!(reference.outcome, FlowOutcome::Completed);
     assert!(
         reference.applied > 0,
         "{name}: reference applied nothing — the sweep would be vacuous"
     );
-    let horizon = span_horizon(original, &er_config(Budget::unlimited()));
+    let horizon = span_horizon(original, &config(Budget::unlimited()));
 
-    let mut interrupted = 0;
+    let mut interrupted = Vec::new();
     for fault_seed in 0..fault_seeds {
         let plan = FaultPlan::seeded(fault_seed, horizon, FaultAction::Cancel);
         let token = CancelToken::new();
         faults::set_cancel_token(Some(token.clone()));
         faults::arm(plan);
         let result =
-            run(original, &er_config(Budget::unlimited().with_cancel(token))).expect("faulted run");
+            run(original, &config(Budget::unlimited().with_cancel(token))).expect("faulted run");
         faults::disarm();
         faults::set_cancel_token(None);
 
@@ -154,7 +162,6 @@ fn cancel_resume_property(name: &str, original: &Aig, fault_seeds: u64) -> u64 {
                 assert!(result.checkpoint.is_none(), "{label}: spurious checkpoint");
             }
             FlowOutcome::Interrupted { reason } => {
-                interrupted += 1;
                 assert_eq!(reason, "cancelled", "{label}");
                 assert!(
                     result.certificate.is_none(),
@@ -177,9 +184,10 @@ fn cancel_resume_property(name: &str, original: &Aig, fault_seeds: u64) -> u64 {
                     checkpoint.to_json(),
                     "{label}: round-trip"
                 );
-                let resumed = flow::resume(original, &er_config(Budget::unlimited()), parsed)
-                    .expect("resume");
+                let resumed =
+                    flow::resume(original, &config(Budget::unlimited()), parsed).expect("resume");
                 assert_bit_identical(&format!("{label} resumed"), &resumed, &reference);
+                interrupted.push(checkpoint);
             }
         }
     }
@@ -190,9 +198,9 @@ fn cancel_resume_property(name: &str, original: &Aig, fault_seeds: u64) -> u64 {
 fn cancel_faults_resume_bit_identically_on_both_circuits() {
     let _guard = lock();
     for (name, original) in circuits() {
-        let interrupted = cancel_resume_property(name, &original, 12);
+        let interrupted = cancel_resume_property(name, &original, 12, er_config);
         assert!(
-            interrupted > 0,
+            !interrupted.is_empty(),
             "{name}: no injection point interrupted the run — sweep is vacuous"
         );
     }
@@ -205,8 +213,9 @@ fn resume_is_bit_identical_across_thread_counts() {
     let mut per_thread_reference: Vec<FlowResult> = Vec::new();
     for threads in [1usize, 3, 7] {
         let reference = with_threads(threads, || {
-            let interrupted = cancel_resume_property(&format!("ksa3@{threads}t"), &original, 6);
-            assert!(interrupted > 0, "{threads} threads: vacuous sweep");
+            let interrupted =
+                cancel_resume_property(&format!("ksa3@{threads}t"), &original, 6, er_config);
+            assert!(!interrupted.is_empty(), "{threads} threads: vacuous sweep");
             run(&original, &er_config(Budget::unlimited())).expect("reference")
         });
         per_thread_reference.push(reference);
@@ -217,6 +226,56 @@ fn resume_is_bit_identical_across_thread_counts() {
     for (i, other) in rest.iter().enumerate() {
         assert_bit_identical(&format!("threads[{}] vs threads[0]", i + 1), other, first);
     }
+}
+
+/// A WCE flow on a 24-input adder whose SAT cap cuts some accept-gate
+/// proofs short (degrading them to the sampled estimate) but not all, and
+/// whose coarse 64-pattern estimate lets the gate bank SAT witnesses and
+/// refute later candidates with them.
+fn capped_wce_config(budget: Budget) -> FlowConfig {
+    FlowConfig {
+        metric: ErrorMetric::Wce,
+        threshold: 16.0,
+        seed: 5,
+        max_iterations: 24,
+        est_rounds: 64,
+        budget: budget.with_sat_conflicts(100),
+        ..FlowConfig::default()
+    }
+}
+
+/// Under a SAT cap a banked witness can reject a candidate whose own
+/// query would have degraded into an accept, so the bank is part of the
+/// flow's state: interrupted runs must carry it in their checkpoints.
+#[test]
+fn sat_capped_wce_flow_resumes_bit_identically_with_its_bank() {
+    let _guard = lock();
+    faults::disarm();
+    let original = arith::kogge_stone_adder(12);
+
+    trace::reset();
+    trace::enable_writer(Box::new(std::io::sink()));
+    let reference = run(&original, &capped_wce_config(Budget::unlimited())).expect("reference");
+    trace::disable();
+    let (_, counters) = trace::snapshot();
+    trace::reset();
+    let counter = |name: &str| counters.iter().find(|c| c.0 == name).map_or(0, |c| c.1);
+    assert!(counter("cert_degraded") > 0, "the cap never bound");
+    assert!(counter("cert_bank_rejects") > 0, "the bank never rejected");
+    assert!(
+        !reference
+            .certificate
+            .expect("WCE flows certify")
+            .status
+            .is_certified(),
+        "degraded accepts degrade the final certificate"
+    );
+
+    let interrupted = cancel_resume_property("ksa12 capped", &original, 8, capped_wce_config);
+    assert!(
+        interrupted.iter().any(|cp| !cp.wce_bank.is_empty()),
+        "no interrupted run carried a bank — the sweep is vacuous"
+    );
 }
 
 #[test]

@@ -174,6 +174,15 @@ impl Miter {
         result
     }
 
+    /// The input assignment witnessing the most recent
+    /// [`Self::distance_exceeds`] answer: `Some` after `Sat`, `None` after
+    /// `Unsat` or `Unknown`.
+    pub fn witness_inputs(&self) -> Option<&[bool]> {
+        self.last_witness
+            .as_ref()
+            .map(|(_, inputs)| inputs.as_slice())
+    }
+
     /// Certifies the exact maximum error distance by binary search on
     /// [`Self::distance_exceeds`]. Every `Sat` answer tightens the lower
     /// bound to the *witnessed* distance, so the search typically needs

@@ -108,14 +108,129 @@ pub enum SatResult {
 
 const UNASSIGNED: u8 = 2;
 
-#[derive(Clone)]
-struct Clause {
-    lits: Vec<SatLit>,
+/// Marks a variable that is not in the [`VarHeap`].
+const ABSENT: u32 = u32::MAX;
+
+/// The branching order: `a` is picked before `b` when it is more active,
+/// or equally active and lower-indexed — exactly the variable a linear
+/// scan for the first strict maximum would find.
+#[inline]
+fn picked_before(activity: &[f64], a: u32, b: u32) -> bool {
+    let (x, y) = (activity[a as usize], activity[b as usize]);
+    x > y || (x == y && a < b)
+}
+
+/// Binary heap of branching candidates under [`picked_before`].
+///
+/// Every unassigned variable is in the heap; assigned ones may linger
+/// and are discarded when they surface (MiniSat's lazy removal). The
+/// order is total, so the top is unique: any valid heap picks the same
+/// variable as a scan over all unassigned variables, whatever order the
+/// variables were inserted in.
+#[derive(Default)]
+struct VarHeap {
+    heap: Vec<u32>,
+    /// Position of each variable in `heap`, or [`ABSENT`].
+    pos: Vec<u32>,
+}
+
+impl VarHeap {
+    #[inline]
+    fn contains(&self, v: usize) -> bool {
+        self.pos[v] != ABSENT
+    }
+
+    fn insert(&mut self, v: usize, activity: &[f64]) {
+        if v >= self.pos.len() {
+            self.pos.resize(v + 1, ABSENT);
+        }
+        debug_assert!(!self.contains(v));
+        self.pos[v] = self.heap.len() as u32;
+        self.heap.push(v as u32);
+        self.sift_up(self.heap.len() - 1, activity);
+    }
+
+    /// Removes and returns the top variable.
+    fn pop(&mut self, activity: &[f64]) -> Option<usize> {
+        let top = *self.heap.first()?;
+        let last = self.heap.pop().expect("non-empty heap");
+        self.pos[top as usize] = ABSENT;
+        if !self.heap.is_empty() {
+            self.heap[0] = last;
+            self.pos[last as usize] = 0;
+            self.sift_down(0, activity);
+        }
+        Some(top as usize)
+    }
+
+    /// Restores the heap after `v`'s activity grew.
+    #[inline]
+    fn increased(&mut self, v: usize, activity: &[f64]) {
+        if self.contains(v) {
+            self.sift_up(self.pos[v] as usize, activity);
+        }
+    }
+
+    /// Re-heapifies every entry: a uniform rescale keeps the activity
+    /// order but can round distinct activities into ties, which the index
+    /// tie-break then orders differently.
+    fn rebuild(&mut self, activity: &[f64]) {
+        for i in (0..self.heap.len() / 2).rev() {
+            self.sift_down(i, activity);
+        }
+    }
+
+    fn sift_up(&mut self, mut i: usize, activity: &[f64]) {
+        let v = self.heap[i];
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            let p = self.heap[parent];
+            if !picked_before(activity, v, p) {
+                break;
+            }
+            self.heap[i] = p;
+            self.pos[p as usize] = i as u32;
+            i = parent;
+        }
+        self.heap[i] = v;
+        self.pos[v as usize] = i as u32;
+    }
+
+    fn sift_down(&mut self, mut i: usize, activity: &[f64]) {
+        let v = self.heap[i];
+        let len = self.heap.len();
+        loop {
+            let left = 2 * i + 1;
+            if left >= len {
+                break;
+            }
+            let right = left + 1;
+            let child = if right < len && picked_before(activity, self.heap[right], self.heap[left])
+            {
+                right
+            } else {
+                left
+            };
+            let c = self.heap[child];
+            if !picked_before(activity, c, v) {
+                break;
+            }
+            self.heap[i] = c;
+            self.pos[c as usize] = i as u32;
+            i = child;
+        }
+        self.heap[i] = v;
+        self.pos[v as usize] = i as u32;
+    }
 }
 
 /// A CDCL SAT solver. See the [module docs](self) for the feature set.
 pub struct Solver {
-    clauses: Vec<Clause>,
+    /// Literals of every clause (original and learned), back to back.
+    arena: Vec<SatLit>,
+    /// Clause `id` occupies `arena[clause_start[id]..clause_start[id + 1]]`;
+    /// the last entry is the arena's end.
+    clause_start: Vec<usize>,
     /// watches[lit] = clauses currently watching `lit`.
     watches: Vec<Vec<u32>>,
     /// Assignment per variable: 0 = false, 1 = true, 2 = unassigned.
@@ -133,6 +248,12 @@ pub struct Solver {
     propagate_head: usize,
     activity: Vec<f64>,
     activity_inc: f64,
+    /// Branching candidates ordered by activity.
+    order: VarHeap,
+    /// Conflict-analysis marks, all `false` between conflicts.
+    seen: Vec<bool>,
+    /// The clause `analyze` learned last (asserting literal first).
+    learned: Vec<SatLit>,
     /// Set when an empty clause was added: permanently unsatisfiable.
     dead: bool,
     conflicts: u64,
@@ -158,7 +279,8 @@ impl Solver {
     /// Creates an empty solver.
     pub fn new() -> Solver {
         Solver {
-            clauses: Vec::new(),
+            arena: Vec::new(),
+            clause_start: vec![0],
             watches: Vec::new(),
             assign: Vec::new(),
             phase: Vec::new(),
@@ -169,6 +291,9 @@ impl Solver {
             propagate_head: 0,
             activity: Vec::new(),
             activity_inc: 1.0,
+            order: VarHeap::default(),
+            seen: Vec::new(),
+            learned: Vec::new(),
             dead: false,
             conflicts: 0,
             scopes: Vec::new(),
@@ -214,6 +339,8 @@ impl Solver {
         self.level.push(0);
         self.reason.push(u32::MAX);
         self.activity.push(0.0);
+        self.seen.push(false);
+        self.order.insert(v.index(), &self.activity);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
         v
@@ -226,7 +353,7 @@ impl Solver {
 
     /// Number of clauses (original + learned).
     pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
+        self.clause_start.len() - 1
     }
 
     #[inline]
@@ -252,49 +379,47 @@ impl Solver {
     ///
     /// Panics if a literal references an unallocated variable.
     pub fn add_clause(&mut self, lits: &[SatLit]) -> bool {
-        match self.scopes.last() {
-            // The selector literal makes the clause vacuous unless the
-            // scope's positive selector is assumed; `pop_scope` then
-            // retires it for good.
-            Some(&selector) => {
-                let mut scoped = Vec::with_capacity(lits.len() + 1);
-                scoped.extend_from_slice(lits);
-                scoped.push(selector.negative());
-                self.add_clause_raw(&scoped)
-            }
-            None => self.add_clause_raw(lits),
-        }
+        // The selector literal makes the clause vacuous unless the scope's
+        // positive selector is assumed; `pop_scope` then retires it for
+        // good.
+        let selector = self.scopes.last().map(|s| s.negative());
+        self.add_clause_raw(lits, selector)
     }
 
-    /// [`Solver::add_clause`] without the scope-selector augmentation.
-    fn add_clause_raw(&mut self, lits: &[SatLit]) -> bool {
+    /// [`Solver::add_clause`] of `lits` plus the optional scope-selector
+    /// literal `extra`, appended last.
+    fn add_clause_raw(&mut self, lits: &[SatLit], extra: Option<SatLit>) -> bool {
         if !self.trail_limits.is_empty() {
             self.backtrack_to(0);
         }
         if self.dead {
             return false;
         }
-        for l in lits {
+        for l in lits.iter().chain(&extra) {
             assert!(l.var().index() < self.num_vars(), "unallocated variable");
         }
-        // Normalize: drop duplicates and false literals, detect tautology.
-        let mut norm: Vec<SatLit> = Vec::with_capacity(lits.len());
-        for &l in lits {
+        // Normalize straight into the arena's tail: drop duplicates and
+        // false literals, detect tautology.
+        let base = self.arena.len();
+        for &l in lits.iter().chain(&extra) {
+            let norm = &self.arena[base..];
             if self.lit_value(l) == 1 || norm.contains(&!l) {
+                self.arena.truncate(base);
                 return true; // satisfied or tautological
             }
             if self.lit_value(l) == 0 || norm.contains(&l) {
                 continue;
             }
-            norm.push(l);
+            self.arena.push(l);
         }
-        match norm.len() {
+        match self.arena.len() - base {
             0 => {
                 self.dead = true;
                 false
             }
             1 => {
-                self.enqueue(norm[0], u32::MAX);
+                let unit = self.arena.pop().expect("one literal");
+                self.enqueue(unit, u32::MAX);
                 if self.propagate().is_some() {
                     self.dead = true;
                     return false;
@@ -302,10 +427,10 @@ impl Solver {
                 true
             }
             _ => {
-                let id = self.clauses.len() as u32;
-                self.watches[norm[0].index()].push(id);
-                self.watches[norm[1].index()].push(id);
-                self.clauses.push(Clause { lits: norm });
+                let id = self.num_clauses() as u32;
+                self.watches[self.arena[base].index()].push(id);
+                self.watches[self.arena[base + 1].index()].push(id);
+                self.clause_start.push(self.arena.len());
                 true
             }
         }
@@ -346,7 +471,7 @@ impl Solver {
         // negation are vacuously satisfiable from here on; the unit makes
         // that explicit so propagation skips them outright. Added raw: the
         // retirement of an inner scope must not itself be retractable.
-        self.add_clause_raw(&[selector.negative()]);
+        self.add_clause_raw(&[selector.negative()], None);
     }
 
     /// Number of currently open assumption scopes.
@@ -375,31 +500,22 @@ impl Solver {
             let mut i = 0;
             while i < watch_list.len() {
                 let clause_id = watch_list[i];
+                let start = self.clause_start[clause_id as usize];
+                let end = self.clause_start[clause_id as usize + 1];
                 // Ensure false_lit is at position 1.
-                let (w0, w1) = {
-                    let c = &mut self.clauses[clause_id as usize];
-                    if c.lits[0] == false_lit {
-                        c.lits.swap(0, 1);
-                    }
-                    (c.lits[0], c.lits[1])
-                };
-                debug_assert_eq!(w1, false_lit);
+                if self.arena[start] == false_lit {
+                    self.arena.swap(start, start + 1);
+                }
+                let w0 = self.arena[start];
+                debug_assert_eq!(self.arena[start + 1], false_lit);
                 if self.lit_value(w0) == 1 {
                     i += 1;
                     continue; // clause already satisfied
                 }
                 // Look for a replacement watch.
-                let replacement = {
-                    let c = &self.clauses[clause_id as usize];
-                    c.lits[2..]
-                        .iter()
-                        .position(|&l| self.lit_value(l) != 0)
-                        .map(|p| p + 2)
-                };
-                if let Some(p) = replacement {
-                    let c = &mut self.clauses[clause_id as usize];
-                    c.lits.swap(1, p);
-                    let new_watch = c.lits[1];
+                if let Some(p) = (start + 2..end).find(|&p| self.lit_value(self.arena[p]) != 0) {
+                    self.arena.swap(start + 1, p);
+                    let new_watch = self.arena[start + 1];
                     self.watches[new_watch.index()].push(clause_id);
                     watch_list.swap_remove(i);
                     continue; // do not advance i: swapped-in element next
@@ -427,20 +543,22 @@ impl Solver {
 
     fn bump(&mut self, v: Var) {
         self.activity[v.index()] += self.activity_inc;
+        self.order.increased(v.index(), &self.activity);
         if self.activity[v.index()] > 1e100 {
             for a in &mut self.activity {
                 *a *= 1e-100;
             }
             self.activity_inc *= 1e-100;
+            self.order.rebuild(&self.activity);
         }
     }
 
-    /// First-UIP conflict analysis. Returns the learned clause (asserting
-    /// literal first) and the backtrack level.
-    fn analyze(&mut self, conflict: u32) -> (Vec<SatLit>, u32) {
+    /// First-UIP conflict analysis. Leaves the learned clause (asserting
+    /// literal first) in `self.learned` and returns the backtrack level.
+    fn analyze(&mut self, conflict: u32) -> u32 {
         let current_level = self.trail_limits.len() as u32;
-        let mut learned: Vec<SatLit> = Vec::new();
-        let mut seen = vec![false; self.num_vars()];
+        self.learned.clear();
+        self.learned.push(SatLit(0)); // the asserting literal, set below
         let mut counter = 0usize; // literals of current level still to resolve
         let mut clause_id = conflict;
         let mut trail_pos = self.trail.len();
@@ -448,25 +566,27 @@ impl Solver {
 
         loop {
             let skip_first = asserting.is_some() as usize;
-            let lits = self.clauses[clause_id as usize].lits.clone();
-            for &l in lits.iter().skip(skip_first) {
+            let start = self.clause_start[clause_id as usize] + skip_first;
+            let end = self.clause_start[clause_id as usize + 1];
+            for k in start..end {
+                let l = self.arena[k];
                 let v = l.var();
-                if seen[v.index()] || self.level[v.index()] == 0 {
+                if self.seen[v.index()] || self.level[v.index()] == 0 {
                     continue;
                 }
-                seen[v.index()] = true;
+                self.seen[v.index()] = true;
                 self.bump(v);
                 if self.level[v.index()] == current_level {
                     counter += 1;
                 } else {
-                    learned.push(l);
+                    self.learned.push(l);
                 }
             }
             // Walk the trail backwards to the next marked literal.
             loop {
                 trail_pos -= 1;
                 let l = self.trail[trail_pos];
-                if seen[l.var().index()] {
+                if self.seen[l.var().index()] {
                     asserting = Some(l);
                     break;
                 }
@@ -474,20 +594,24 @@ impl Solver {
             let l = asserting.expect("trail contains a marked literal");
             counter -= 1;
             if counter == 0 {
-                learned.insert(0, !l);
+                self.learned[0] = !l;
                 break;
             }
             clause_id = self.reason[l.var().index()];
             debug_assert_ne!(clause_id, u32::MAX, "UIP literal has a reason");
-            seen[l.var().index()] = false; // resolved away
+            self.seen[l.var().index()] = false; // resolved away
         }
 
-        let backtrack = learned[1..]
+        // The marks still set are exactly the learned clause's variables
+        // (resolved current-level variables were unmarked on the way).
+        for l in &self.learned {
+            self.seen[l.var().index()] = false;
+        }
+        self.learned[1..]
             .iter()
             .map(|l| self.level[l.var().index()])
             .max()
-            .unwrap_or(0);
-        (learned, backtrack)
+            .unwrap_or(0)
     }
 
     fn backtrack_to(&mut self, target: u32) {
@@ -495,24 +619,26 @@ impl Solver {
             let limit = self.trail_limits.pop().expect("non-empty limits");
             while self.trail.len() > limit {
                 let l = self.trail.pop().expect("trail entry");
-                self.assign[l.var().index()] = UNASSIGNED;
-                self.reason[l.var().index()] = u32::MAX;
+                let v = l.var().index();
+                self.assign[v] = UNASSIGNED;
+                self.reason[v] = u32::MAX;
+                if !self.order.contains(v) {
+                    self.order.insert(v, &self.activity);
+                }
             }
         }
         self.propagate_head = self.trail.len();
     }
 
-    fn pick_branch(&self) -> Option<SatLit> {
-        let mut best: Option<(f64, usize)> = None;
-        for v in 0..self.num_vars() {
+    /// The most active unassigned variable (lowest index among equals),
+    /// in its saved phase.
+    fn pick_branch(&mut self) -> Option<SatLit> {
+        while let Some(v) = self.order.pop(&self.activity) {
             if self.assign[v] == UNASSIGNED {
-                let a = self.activity[v];
-                if best.is_none_or(|(ba, _)| a > ba) {
-                    best = Some((a, v));
-                }
+                return Some(Var(v as u32).lit(self.phase[v] == 0));
             }
         }
-        best.map(|(_, v)| Var(v as u32).lit(self.phase[v] == 0))
+        None
     }
 
     /// Solves the formula.
@@ -607,16 +733,15 @@ impl Solver {
                 if self.trail_limits.len() as u32 <= num_assumptions {
                     return SatResult::Unsat;
                 }
-                let (learned, backtrack) = self.analyze(conflict);
-                let backtrack = backtrack.max(num_assumptions);
+                let backtrack = self.analyze(conflict).max(num_assumptions);
                 if backtrack >= self.trail_limits.len() as u32 {
                     // Cannot assert below the conflict level: UNSAT under
                     // the assumptions (all its literals are assumption-level).
                     return SatResult::Unsat;
                 }
                 self.backtrack_to(backtrack);
-                let asserting = learned[0];
-                if learned.len() == 1 {
+                let asserting = self.learned[0];
+                if self.learned.len() == 1 {
                     if self.lit_value(asserting) == 0 {
                         return SatResult::Unsat;
                     }
@@ -624,10 +749,11 @@ impl Solver {
                         self.enqueue(asserting, u32::MAX);
                     }
                 } else {
-                    let id = self.clauses.len() as u32;
-                    self.watches[learned[0].index()].push(id);
-                    self.watches[learned[1].index()].push(id);
-                    self.clauses.push(Clause { lits: learned });
+                    let id = self.num_clauses() as u32;
+                    self.watches[self.learned[0].index()].push(id);
+                    self.watches[self.learned[1].index()].push(id);
+                    self.arena.extend_from_slice(&self.learned);
+                    self.clause_start.push(self.arena.len());
                     if self.lit_value(asserting) == UNASSIGNED {
                         self.enqueue(asserting, id);
                     }
@@ -692,6 +818,61 @@ mod tests {
 
     fn vars(solver: &mut Solver, n: usize) -> Vec<Var> {
         (0..n).map(|_| solver.new_var()).collect()
+    }
+
+    /// The variable a linear scan picks: the first strict maximum.
+    fn scan_pick(activity: &[f64], candidates: &[usize]) -> Option<usize> {
+        let mut best: Option<usize> = None;
+        for &v in candidates {
+            if best.is_none_or(|b| activity[v] > activity[b]) {
+                best = Some(v);
+            }
+        }
+        best
+    }
+
+    #[test]
+    fn var_heap_pops_what_a_linear_scan_picks_across_rescales() {
+        let mut rng = alsrac_rt::Rng::from_seed(0x4ea9);
+        for round in 0..50 {
+            // Tiny activities underflow to ties (zero) when rescaled by
+            // 1e-100; the rebuild must re-order them by index. Round 0 is
+            // the smallest such case: v1 leads v0 until both become 0.
+            let mut activity: Vec<f64> = if round == 0 {
+                vec![0.0, 1e-300]
+            } else {
+                (0..1 + rng.gen_range(0..40))
+                    .map(|_| match rng.gen_range(0..3) {
+                        0 => 0.0,
+                        1 => rng.gen_range(1..4) as f64 * 1e-300,
+                        _ => rng.gen_range(0..1000) as f64,
+                    })
+                    .collect()
+            };
+            let n = activity.len();
+            let mut heap = VarHeap::default();
+            for v in 0..n {
+                heap.insert(v, &activity);
+            }
+            for v in 0..n {
+                if round > 0 && rng.gen_bool(0.3) {
+                    activity[v] += 7.0;
+                    heap.increased(v, &activity);
+                }
+            }
+            if round % 2 == 0 {
+                for a in &mut activity {
+                    *a *= 1e-100;
+                }
+                heap.rebuild(&activity);
+            }
+            let mut left: Vec<usize> = (0..n).collect();
+            while let Some(v) = heap.pop(&activity) {
+                assert_eq!(Some(v), scan_pick(&activity, &left), "round {round}");
+                left.retain(|&u| u != v);
+            }
+            assert!(left.is_empty());
+        }
     }
 
     #[test]

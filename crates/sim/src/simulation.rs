@@ -98,6 +98,24 @@ impl Simulation {
     ///
     /// Panics if the buffer's input count differs from the graph's.
     pub fn new(aig: &Aig, patterns: &PatternBuffer) -> Simulation {
+        let sim = Simulation::new_untraced(aig, patterns);
+        // Telemetry: simulation volume is the flow's dominant cost driver,
+        // so the sweep count and word throughput are worth a counter each.
+        alsrac_rt::trace::add("simulations", 1);
+        alsrac_rt::trace::add("sim_node_words", sim.values.len() as u64);
+        sim
+    }
+
+    /// [`Simulation::new`] without its telemetry counters, for side probes
+    /// that are not part of the flow's simulation volume. The WCE accept
+    /// gate sweeps every gated candidate over its bank of counterexamples;
+    /// counting those sweeps would make `sim_node_words` depend on how the
+    /// gate reached its answer rather than on what the flow simulated.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the buffer's input count differs from the graph's.
+    pub fn new_untraced(aig: &Aig, patterns: &PatternBuffer) -> Simulation {
         assert_eq!(
             patterns.num_inputs(),
             aig.num_inputs(),
@@ -134,10 +152,6 @@ impl Simulation {
                 }
             }
         }
-        // Telemetry: simulation volume is the flow's dominant cost driver,
-        // so the sweep count and word throughput are worth a counter each.
-        alsrac_rt::trace::add("simulations", 1);
-        alsrac_rt::trace::add("sim_node_words", (aig.num_nodes() * num_words) as u64);
         Simulation {
             num_words,
             num_patterns: patterns.num_patterns(),

@@ -41,7 +41,9 @@
 #           sample within the Wilson bound) and the WCE-constrained flow's
 #           certified bound; the artifact is validated by `report --cert`
 #           and must be bit-identical between ALSRAC_THREADS=1 and 3 apart
-#           from the recorded "threads" field
+#           from the recorded "threads" field; the serial run's
+#           ALSRAC_TRACE output, cert counters included, must validate
+#           under `report`
 #   fault-smoke
 #           robustness gate: the fault-injection property suite sweeps
 #           seeded cancel faults over two bundled circuits and asserts
@@ -222,12 +224,23 @@ run_cert_smoke() {
     echo "==> certification gate (Wilson agreement + thread determinism)"
     cert_t1="$(tmpfile alsrac_bench_cert1_XXXXXX.json)"
     cert_t3="$(tmpfile alsrac_bench_cert3_XXXXXX.json)"
+    cert_trace="$(tmpfile alsrac_bench_cert_XXXXXX.jsonl)"
+    cert_summary="$(tmpfile alsrac_bench_cert_summary_XXXXXX.json)"
     # bench_cert --smoke asserts: every certified error rate agrees with an
     # independent sampled estimate within the Wilson interval, and every
     # WCE-constrained flow result is certified at or below its bound.
-    ALSRAC_THREADS=1 target/release/bench_cert --smoke "$cert_t1"
+    ALSRAC_THREADS=1 ALSRAC_TRACE="$cert_trace" target/release/bench_cert --smoke "$cert_t1"
     ALSRAC_THREADS=3 target/release/bench_cert --smoke "$cert_t3"
     target/release/report --cert "$cert_t1"
+    # The serial run's trace must be schema-valid, so every cert_* counter
+    # it totals is one the report knows. (This small workload's WCE flows
+    # never reject a candidate, so cert_bank_rejects stays absent here;
+    # the report's unit tests pin that counter.)
+    target/release/report "$cert_trace" --summary "$cert_summary" >/dev/null
+    grep -q '"cert_sat_queries"' "$cert_trace" || {
+        echo "cert-smoke: the trace totals no cert_sat_queries" >&2
+        exit 1
+    }
     # Certification is SAT-backed and sampling is block-seeded, so the
     # artifact must not depend on the worker count — only the recorded
     # "threads" field itself may differ.

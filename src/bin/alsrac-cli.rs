@@ -4,7 +4,7 @@
 //! ```text
 //! alsrac-cli --input adder.blif --metric er --threshold 0.01 --output approx.blif
 //! alsrac-cli --bench rca32 --metric nmed --threshold 0.0005 --map lut6
-//! alsrac-cli --bench ks32 --metric wce --threshold 4 --deadline 30 --sat-conflicts 100000
+//! alsrac-cli --bench ksa32 --metric wce --threshold 4 --deadline 30 --sat-conflicts 100000
 //! ```
 //!
 //! Input formats: BLIF (`.blif`), ASCII AIGER (`.aag`), binary AIGER
@@ -63,7 +63,7 @@ struct Args {
 const USAGE: &str = "\
 usage: alsrac-cli [options]
   --input FILE        input circuit (.blif, .aag, .aig)
-  --bench NAME        use a generated benchmark (e.g. rca32, voter) instead
+  --bench NAME        use a generated benchmark (e.g. rca32, voter, wal32) instead
   --output FILE       write the approximate circuit (.blif, .aag, .aig)
   --metric er|nmed|mred|wce   error metric (default er)
   --threshold X       error budget (default 0.01; an absolute maximum
@@ -273,14 +273,7 @@ fn serve_resolver() -> Box<serve::Resolver> {
                 "paper" => catalog::Scale::Paper,
                 _ => catalog::Scale::Test,
             };
-            catalog::by_name(name, scale)
-                .or_else(|| {
-                    catalog::scale_benchmarks()
-                        .into_iter()
-                        .find(|b| b.paper_name == *name)
-                        .map(|b| b.aig)
-                })
-                .ok_or_else(|| format!("unknown benchmark {name:?}"))
+            catalog::by_name(name, scale).ok_or_else(|| format!("unknown benchmark {name:?}"))
         }
         CircuitSource::Blif(text) => blif::parse(text).map_err(|e| e.to_string()),
         CircuitSource::Aag(text) => aiger::parse_ascii(text).map_err(|e| e.to_string()),
